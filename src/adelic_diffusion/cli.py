@@ -451,7 +451,8 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
         t0 = time.time()
         cfg = _load_config(config_path, dict(b=b, t=t, n_paths=n_paths,
                                              truncation=truncation, seed=seed,
-                                             format=fmt, workers=workers))
+                                             format=fmt, workers=workers,
+                                             product=product or None))
         sigma = _sigma_from_config(cfg)
         bb = cfg.need("b", float, 1.0)
         tt = cfg.need("t", float, 1.0)
@@ -460,11 +461,16 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
         wk = cfg.get("workers") or _default_workers()
 
         def _doc(flag, key):
-            src = cfg.get(key, flag)
+            """The flag's JSON file, else the config's document (inline or a path);
+            the document is echoed into the config so the manifest stands alone."""
+            src = flag if flag is not None else cfg.get(key)
             if src is None:
                 return None
-            with open(src) as fh:
-                return json.load(fh)
+            if not isinstance(src, dict):
+                with open(src) as fh:
+                    src = json.load(fh)
+            cfg[key] = src
+            return src
 
         obs_doc = _doc(observable, "observable")
         alpha_f = observable_from_json(obs_doc) if obs_doc else SimpleAdelicSB.vacuum()
@@ -500,7 +506,7 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
                 rows.append(["kernel_reversed", rev.value.real, rev.value.imag,
                              rev.std_error, rev.n_paths, rev.tail_certificate,
                              rev.density_factor, rev.bridge_factor])
-            if product or cfg.get("product"):
+            if cfg.get("product"):
                 pest, factors = fk_kernel_product(req)
                 rows.append(["kernel_product", pest.value.real, pest.value.imag,
                              pest.std_error, pest.n_paths, pest.tail_certificate,

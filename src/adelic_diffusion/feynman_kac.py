@@ -34,6 +34,7 @@ from .heat_kernel import (
     ball_kernel_mass,
     density,
     density_center,
+    radial_convolve,
     radial_law,
 )
 from .padic import PAdicScalar, uniform_sphere
@@ -200,14 +201,19 @@ class FreePropagation:
         return min(r * self.tail_lo_mult, r), max(r * self.tail_lo_mult, r)
 
 
+def _require_resolved(f: SBFunction, xc: PAdicScalar | None) -> None:
+    """An unresolved component (somewhere in Z_p) settles only a vacuum factor."""
+    if xc is None and not f.is_vacuum():
+        raise PrecisionError(
+            "free propagation of a non-vacuum factor needs a resolved point"
+        )
+
+
 def _factor_convolution(params: KernelParams, t: float, f: SBFunction,
                         xc: PAdicScalar | None) -> complex:
     """(kernel_t * f)(xc); unresolved xc (in Z_p) is exact for vacuum f."""
+    _require_resolved(f, xc)
     if xc is None:
-        if not f.is_vacuum():
-            raise PrecisionError(
-                "free propagation of a non-vacuum factor needs a resolved point"
-            )
         return complex(ball_kernel_mass(params, t, None, 0))
     out = 0j
     for ball, coeff in f.terms:
@@ -258,9 +264,10 @@ def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
         p = prime_at(i)
         params = req.sigma.kernel_params(i, req.b)
         start = req.x.component(p)
+        alpha_f = req.alpha.factor(p)
+        _require_resolved(alpha_f, start)
         if start is None:
             start = PAdicScalar.zero(p)
-        alpha_f = req.alpha.factor(p)
         v_term = req.v.component(p)
         fns = (alpha_f, v_term[1]) if v_term is not None else (alpha_f,)
         plans.append(_PrimePlan(i - 1, params, start, alpha_f, v_term,
@@ -616,7 +623,8 @@ def semigroup_compose_free(sigma: SigmaSequence, b: float, s: float, t: float,
     for i in range(1, N + 1):
         p = prime_at(i)
         params = sigma.kernel_params(i, b)
-        law = radial_convolve_laws(params, s, t)
+        law = radial_convolve(radial_law(params, s, coverage=1 - 1e-13),
+                              radial_law(params, t, coverage=1 - 1e-13))
         f = alpha.factor(p)
         xc = x.component(p)
         factor = 0.0
@@ -629,15 +637,6 @@ def semigroup_compose_free(sigma: SigmaSequence, b: float, s: float, t: float,
             factor += coeff.real * law.ball_probability(d_exp, ball.radius_exp)
         composed *= factor
     return SemigroupReport(s, t, direct, composed, 0.0)
-
-
-def radial_convolve_laws(params: KernelParams, s: float, t: float):
-    from .heat_kernel import radial_convolve
-
-    return radial_convolve(
-        radial_law(params, s, coverage=1 - 1e-13),
-        radial_law(params, t, coverage=1 - 1e-13),
-    )
 
 
 def semigroup_check_mc(sigma: SigmaSequence, b: float, s: float, t: float,

@@ -22,12 +22,6 @@ def scalar_from_json(p: int, doc: dict[str, Any]) -> PAdicScalar:
     return PAdicScalar.from_digits(p, int(doc.get("valuation", 0)), digits)
 
 
-def scalar_to_json(x: PAdicScalar) -> dict[str, Any]:
-    if x.is_zero():
-        return {"zero": True}
-    return {"valuation": x.valuation, "digits": list(x.digits)}
-
-
 def _coeff_from_json(c) -> complex:
     if isinstance(c, (int, float)):
         return complex(c)
@@ -68,11 +62,3 @@ def point_from_json(doc: dict[str, Any]) -> AdelicPoint:
         p = int(cdoc["prime"])
         comps[p] = scalar_from_json(p, cdoc)
     return AdelicPoint.of(comps)
-
-
-def point_to_json(x: AdelicPoint) -> dict[str, Any]:
-    return {
-        "components": [
-            {"prime": p, **scalar_to_json(s)} for p, s in x.active
-        ]
-    }

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -68,16 +67,13 @@ class PAdicScalar:
 
     @classmethod
     def from_digits(cls, p: int, valuation: int, digits, precision: int | None = None) -> "PAdicScalar":
-        digits = tuple(int(d) for d in digits)
-        sig = reduce(lambda acc, d: acc * p + d, reversed(digits), 0)
+        digits = [int(d) for d in digits]
+        sig = 0
+        for d in reversed(digits):
+            sig = sig * p + d
         if sig == 0:
             return cls.zero(p, valuation + len(digits))
-        shift = 0
-        while sig % p == 0:
-            sig //= p
-            shift += 1
-        prec = (precision if precision is not None else len(digits)) - shift
-        return cls(p, valuation + shift, sig % p**prec, prec)
+        return _normalised(p, valuation, sig, len(digits) if precision is None else precision)
 
     @classmethod
     def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PAdicScalar":
@@ -146,26 +142,24 @@ class PAdicScalar:
     def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
         self._require_same_prime(other)
         p = self.prime
-        if self.is_zero() or other.is_zero():
-            x, z = (other, self) if self.is_zero() else (self, other)
-            if x.is_zero():
+        if self.valuation is None or other.valuation is None:
+            x, z = (other, self) if self.valuation is None else (self, other)
+            if x.valuation is None:
                 return PAdicScalar.zero(p, min(self.precision, other.precision))
             mod = min(x.known_mod_exp(), z.known_mod_exp())
-            if mod <= (x.valuation or 0):
+            if mod <= x.valuation:
                 return PAdicScalar.zero(p, mod)
             prec = mod - x.valuation
-            sig = x.significand % p**prec
-            return PAdicScalar.from_digits(p, x.valuation, _int_digits(sig, p, prec), prec)
+            return PAdicScalar(p, x.valuation, x.significand % p**prec, prec)
         v = min(self.valuation, other.valuation)
-        mod = min(self.known_mod_exp(), other.known_mod_exp())
-        prec = mod - v
+        mod = min(self.valuation + self.precision, other.valuation + other.precision)
         total = (
             self.significand * p ** (self.valuation - v)
             + other.significand * p ** (other.valuation - v)
-        ) % p**prec
+        ) % p ** (mod - v)
         if total == 0:
             return PAdicScalar.zero(p, mod)
-        return PAdicScalar.from_digits(p, v, _int_digits(total, p, prec), prec)
+        return _normalised(p, v, total, mod - v)
 
     def __neg__(self) -> "PAdicScalar":
         if self.is_zero():
@@ -213,12 +207,14 @@ class PAdicScalar:
         return f"PAdicScalar({self.prime}-adic, v={self.valuation}, digits={shown})"
 
 
-def _int_digits(n: int, p: int, count: int) -> list[int]:
-    out = []
-    for _ in range(count):
-        n, d = divmod(n, p)
-        out.append(d)
-    return out
+def _normalised(p: int, valuation: int, sig: int, precision: int) -> PAdicScalar:
+    """p^valuation * sig known to `precision` digits (sig != 0), with the
+    factors of p in sig moved into the valuation."""
+    while sig % p == 0:
+        sig //= p
+        valuation += 1
+        precision -= 1
+    return PAdicScalar(p, valuation, sig % p**precision, precision)
 
 
 @dataclass(frozen=True)
@@ -288,8 +284,10 @@ def _unit_significand(gen: np.random.Generator, p: int, precision: int) -> int:
     lead = int(gen.integers(1, p))
     if precision == 1:
         return lead
-    rest = gen.integers(0, p, size=precision - 1)
-    return reduce(lambda acc, d: acc * p + int(d), rest[::-1], 0) * p + lead
+    sig = 0
+    for d in reversed(gen.integers(0, p, size=precision - 1).tolist()):
+        sig = sig * p + d
+    return sig * p + lead
 
 
 def uniform_sphere(rng, p: int, radius_exp: int, precision: int = DEFAULT_PRECISION) -> PAdicScalar:

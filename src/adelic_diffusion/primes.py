@@ -58,7 +58,3 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
-
-
-def primes_up_to(limit: int) -> tuple[int, ...]:
-    return tuple(q for q in PRIMES if q <= limit)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BridgeUnderflowError, ResolutionError
+from .errors import BridgeUnderflowError, ResolutionError, TruncationError
 from .heat_kernel import (
     DEFAULT_POLICY,
     KernelParams,
@@ -35,6 +35,11 @@ from .padic import DEFAULT_PRECISION, PAdicScalar, uniform_sphere
 from .rng import as_generator
 
 TRUNCATION_COVERAGE = 1.0 - 1e-12
+# Largest expected event count rate * T an event path may be asked for.
+MAX_EXPECTED_EVENTS = 10**7
+# Equal-sphere rejection accepts with probability >= (p - 2)/(p - 1) >= 1/2,
+# so this many straight rejections has probability <= 2**-64.
+MAX_EQUAL_SPHERE_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,11 @@ def sample_event_path(params: KernelParams, start: PAdicScalar, T: float,
     """Simulate first-exit events from balls of radius p^r_min up to time T."""
     if not T > 0:
         raise ValueError("horizon T must be positive")
-    gen = as_generator(rng)
     lam = exit_rate(params, r_min)
+    if lam * T > MAX_EXPECTED_EVENTS:
+        raise TruncationError(f"event path expects {lam * T:.3g} exits (limit "
+                              f"{MAX_EXPECTED_EVENTS:.0e}); coarsen r_min or shorten T")
+    gen = as_generator(rng)
     events: list[tuple[float, PAdicScalar]] = []
     t, pos = 0.0, start
     while True:
@@ -259,11 +267,12 @@ def _bridge_point(params: KernelParams, s0: float, x0: PAdicScalar,
     if kind == _AROUND_X1:
         return x1 + (-uniform_sphere(gen, p, level, precision))
     # equal spheres: uniform on S_delta(x0) conditioned on |z - x1| = p^delta
-    while True:
+    for _ in range(MAX_EQUAL_SPHERE_TRIES):
         z = x0 + uniform_sphere(gen, p, level, precision)
         d = z - x1
         if not d.is_zero() and d.abs_exp() == level:
             return z
+    raise TruncationError(f"equal-sphere bridge draw rejected {MAX_EQUAL_SPHERE_TRIES} times")
 
 
 def sample_bridge(params: KernelParams, spec: BridgeSpec, epochs, rng,

@@ -160,6 +160,72 @@ class TestFk:
         assert abs(kj - kp) <= 4 * math.hypot(sej, sep)
 
 
+class TestFkManifest:
+    """A manifest carries its input documents, so a re-run reproduces the data."""
+
+    def rerun(self, runner, out, tmp_path):
+        again = tmp_path / "again.csv"
+        res = runner.invoke(main, ["fk", "--config", str(out) + ".manifest.json",
+                                   "-o", str(again)])
+        assert res.exit_code == 0, res.output
+        return again.read_bytes()
+
+    def test_expectation_with_observable_point_potential(self, runner, tmp_path):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"factors": [{"prime": 3, "terms": [
+            {"valuation": 0, "digits": [1], "radius_exp": -1, "coeff": 1.0}]}]}))
+        pt = tmp_path / "pt.json"
+        pt.write_text(json.dumps({"components": [{"prime": 3, "valuation": 0,
+                                                  "digits": [1]}]}))
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps({"components": [{"prime": 3, "tau": 0.7, "terms": [
+            {"valuation": 0, "digits": [1], "radius_exp": -1, "coeff": 1.0}]}]}))
+        out = tmp_path / "fk.csv"
+        res = runner.invoke(main, ["fk", "--n-paths", "1000", "-N", "3", "--seed", "2",
+                                   "--observable", str(obs), "--point", str(pt),
+                                   "--potential", str(pot), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+        assert config["observable"] == json.loads(obs.read_text())
+        assert config["point"] == json.loads(pt.read_text())
+        assert config["potential"] == json.loads(pot.read_text())
+        assert self.rerun(runner, out, tmp_path) == out.read_bytes()
+
+    def test_kernel_with_endpoint(self, runner, tmp_path):
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps({"components": [{
+            "prime": 2, "tau": 0.5,
+            "terms": [{"zero": True, "radius_exp": 0, "coeff": 1.0}]}]}))
+        x = tmp_path / "x.json"
+        x.write_text(json.dumps({"components": [{"prime": 2, "zero": True}]}))
+        y = tmp_path / "y.json"
+        y.write_text(json.dumps({"components": [
+            {"prime": 2, "valuation": 0, "digits": [1]}]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bridge_steps": 8}))
+        out = tmp_path / "k.csv"
+        res = runner.invoke(main, [
+            "fk", "--config", str(cfg), "--n-paths", "100", "-N", "1", "--seed", "3",
+            "--potential", str(pot), "--point", str(x), "--endpoint", str(y),
+            "--product", "-o", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+        assert config["endpoint"] == json.loads(y.read_text())
+        assert config["product"] is True
+        assert self.rerun(runner, out, tmp_path) == out.read_bytes()
+
+    def test_observable_without_point_is_config_error(self, runner, tmp_path):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"factors": [{"prime": 3, "terms": [
+            {"valuation": 0, "digits": [1], "radius_exp": -1, "coeff": 1.0}]}]}))
+        res = runner.invoke(main, ["fk", "--n-paths", "1000000", "-N", "4",
+                                   "--observable", str(obs),
+                                   "-o", str(tmp_path / "fk.csv")])
+        assert res.exit_code == 2
+        assert "needs a resolved point" in res.output
+
+
 class TestKernelSymmetryRecord:
     def test_reversed_row_emitted(self, runner, tmp_path):
         pot = tmp_path / "pot.json"

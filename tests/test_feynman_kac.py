@@ -161,6 +161,19 @@ class TestFkExpectation:
         assert vals[0].value == vals[1].value == vals[2].value
         assert vals[0].std_error == vals[1].std_error == vals[2].std_error
 
+    def test_unresolved_start_under_observable_fails_before_sampling(self, monkeypatch):
+        from adelic_diffusion import feynman_kac
+
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(feynman_kac, "_run_chunks", no_sampling)
+        ball = Ball(PAdicScalar.from_int(1, 3), -1)
+        alpha_f = SimpleAdelicSB.of({3: SBFunction.indicator(ball, 1.0)})
+        req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), alpha_f, V0, 10**6, 4, seed=720)
+        with pytest.raises(PrecisionError, match="needs a resolved point"):
+            fk_expectation(req)
+
     def test_quadrature_mode(self):
         req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, VPOT, 300, 2,
                         seed=709, mode="quadrature", h=1.0 / 128)

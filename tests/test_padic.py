@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from adelic_diffusion import (
     uniform_ball,
     uniform_sphere,
 )
+from adelic_diffusion.padic import _unit_significand
 
 PRIMES = [2, 3, 5, 7]
 
@@ -224,3 +226,126 @@ class TestRngStream:
         y = PAdicScalar.from_int(13, 2, 16)  # 5 + 8 = 13: same ball radius 1/8? no: differ by 8
         assert x.coset_key(-2) != PAdicScalar.from_int(6, 2, 16).coset_key(-2)
         assert x.coset_key(-3) == y.coset_key(-3)
+
+
+# -- the integer core against the digit-list model it replaced ---------------
+
+
+def ref_digits(n, p, count):
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
+def ref_from_digits(p, valuation, digits, precision=None):
+    digits = tuple(int(d) for d in digits)
+    sig = reduce(lambda acc, d: acc * p + d, reversed(digits), 0)
+    if sig == 0:
+        return PAdicScalar.zero(p, valuation + len(digits))
+    shift = 0
+    while sig % p == 0:
+        sig //= p
+        shift += 1
+    prec = (precision if precision is not None else len(digits)) - shift
+    return PAdicScalar(p, valuation + shift, sig % p**prec, prec)
+
+
+def ref_add(a, b):
+    """Sum by way of a digit list: the reference model of __add__."""
+    p = a.prime
+    if a.is_zero() or b.is_zero():
+        x, z = (b, a) if a.is_zero() else (a, b)
+        if x.is_zero():
+            return PAdicScalar.zero(p, min(a.precision, b.precision))
+        mod = min(x.known_mod_exp(), z.known_mod_exp())
+        if mod <= x.valuation:
+            return PAdicScalar.zero(p, mod)
+        prec = mod - x.valuation
+        sig = x.significand % p**prec
+        return ref_from_digits(p, x.valuation, ref_digits(sig, p, prec), prec)
+    v = min(a.valuation, b.valuation)
+    mod = min(a.known_mod_exp(), b.known_mod_exp())
+    prec = mod - v
+    total = (
+        a.significand * p ** (a.valuation - v) + b.significand * p ** (b.valuation - v)
+    ) % p**prec
+    if total == 0:
+        return PAdicScalar.zero(p, mod)
+    return ref_from_digits(p, v, ref_digits(total, p, prec), prec)
+
+
+def fields(x):
+    return x.prime, x.valuation, x.significand, x.precision
+
+
+@st.composite
+def operand(draw, p):
+    """Nonzero scalars of mixed valuation and precision, exact zero, coarse zero."""
+    kind = draw(st.sampled_from(["unit", "unit", "unit", "exact_zero", "coarse_zero"]))
+    if kind == "exact_zero":
+        return PAdicScalar.zero(p)
+    if kind == "coarse_zero":
+        return PAdicScalar.zero(p, draw(st.integers(-8, 12)))
+    prec = draw(st.integers(1, 10))
+    sig = draw(st.integers(1, p**prec - 1).filter(lambda s: s % p != 0))
+    return PAdicScalar(p, draw(st.integers(-6, 6)), sig, prec)
+
+
+@st.composite
+def operand_pairs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    a = draw(operand(p))
+    shape = draw(st.sampled_from(["independent", "cancel", "near_cancel"]))
+    if shape == "independent":
+        return a, draw(operand(p))
+    if shape == "cancel":
+        return a, -a
+    return a, ref_add(-a, draw(operand(p)))
+
+
+class TestIntegerCore:
+    @settings(max_examples=400, deadline=None)
+    @given(operand_pairs())
+    def test_add_and_sub_match_digit_model(self, pair):
+        a, b = pair
+        assert fields(a + b) == fields(ref_add(a, b))
+        assert fields(b + a) == fields(ref_add(b, a))
+        assert fields(a - b) == fields(ref_add(a, -b))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_full_cancellation_keeps_known_modulus(self, p):
+        a = PAdicScalar(p, -2, p + 1, 6)
+        assert fields(a - a) == fields(ref_add(a, -a)) == (p, None, 0, 4)
+        coarse = PAdicScalar.zero(p, -2)
+        assert fields(a + coarse) == fields(ref_add(a, coarse)) == (p, None, 0, -2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(-6, 6),
+           st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 4),
+           st.booleans())
+    def test_from_digits_round_trips_digits(self, p, v, raw, extra, explicit):
+        digits = [d % p for d in raw]
+        precision = len(digits) + extra if explicit else None
+        x = PAdicScalar.from_digits(p, v, digits, precision)
+        assert fields(x) == fields(ref_from_digits(p, v, digits, precision))
+        if not any(digits):
+            assert x.is_zero() and x.known_mod_exp() == v + len(digits)
+            return
+        lead = next(k for k, d in enumerate(digits) if d)
+        assert x.valuation == v + lead
+        assert x.digits == tuple(digits[lead:]) + (0,) * extra * explicit
+        assert PAdicScalar.from_digits(p, x.valuation, x.digits) == x
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(1, 40), st.integers(0, 2**32))
+    def test_unit_significand_matches_reduce_composition(self, p, precision, seed):
+        g_new, g_old = RngStream(seed).generator(), RngStream(seed).generator()
+        lead = int(g_old.integers(1, p))
+        expect = lead
+        if precision > 1:
+            rest = g_old.integers(0, p, size=precision - 1)
+            expect = reduce(lambda acc, d: acc * p + int(d), rest[::-1], 0) * p + lead
+        assert _unit_significand(g_new, p, precision) == expect
+        assert g_new.random() == g_old.random()

@@ -13,9 +13,11 @@ from adelic_diffusion import (
     PAdicScalar,
     ResolutionError,
     RngStream,
+    TruncationError,
     density,
     density_center,
     exit_prob,
+    exit_rate,
     increment_law,
     overshoot_law,
     sample_bridge,
@@ -150,6 +152,13 @@ class TestEventPath:
             for k in range(1, 13)
         )
         assert tv < 0.02
+
+    def test_expected_event_count_is_bounded(self):
+        from adelic_diffusion.sampler import MAX_EXPECTED_EVENTS
+
+        with pytest.raises(TruncationError, match="coarsen r_min"):
+            sample_event_path(KP, ZERO, 1.0, -30, RngStream(121))
+        assert exit_rate(KP, -30) > MAX_EXPECTED_EVENTS
 
     def test_event_times_increasing_and_bounded(self):
         gen = RngStream(109).generator()
@@ -286,6 +295,36 @@ class TestBridge:
         a = sample_bridge(KP, spec, [0.5], RngStream(119).child(1), 16)
         b = sample_bridge(KP, spec, [0.5], RngStream(119).child(1), 16)
         assert a == b
+
+    def test_equal_sphere_rejection_is_capped(self):
+        from adelic_diffusion.sampler import (
+            MAX_EQUAL_SPHERE_TRIES, _EQUAL_SPHERES, _bridge_classes, _bridge_point,
+        )
+
+        kp3 = KernelParams(3, 1.0, 1.0)
+        x1 = PAdicScalar.from_int(1, 3, 8)
+        labels, cum = _bridge_classes(kp3, 0.5, 0.5, 0)
+        idx = labels.index((_EQUAL_SPHERES, 0))
+        u = 0.5 * ((cum[idx - 1] if idx else 0.0) + cum[idx]) / cum[-1]
+
+        class StuckGenerator(np.random.Generator):
+            """Picks the equal-sphere class, then draws z = x1 every time."""
+
+            draws = 0
+
+            def random(self):
+                return u
+
+            def integers(self, low, high=None, size=None):
+                if size is not None:
+                    return np.zeros(size, dtype=np.int64)
+                self.draws += 1
+                return 1
+
+        gen = StuckGenerator(np.random.Philox(0))
+        with pytest.raises(TruncationError, match="equal-sphere"):
+            _bridge_point(kp3, 0.0, PAdicScalar.zero(3), 1.0, x1, 0.5, gen, 8)
+        assert gen.draws == MAX_EQUAL_SPHERE_TRIES
 
 
 class TestOvershootConditioningOracle:
