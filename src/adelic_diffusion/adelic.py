@@ -24,9 +24,9 @@ from .rng import RngStream
 from .sampler import EventPath, PathSkeleton, sample_event_path, sample_skeleton
 
 
-@lru_cache(maxsize=64)
-def _beta_suffix(sigma: "SigmaSequence", b: float) -> tuple[float, ...]:
-    """suffix[N] = rigorous upper bound on sum_{i > N} sigma_i alpha_i."""
+def _suffix(sigma: "SigmaSequence", term) -> tuple[float, ...]:
+    """suffix[N] = rigorous upper bound on sum_{i > N} term(i), for a term
+    dominated by sigma_i (alpha < 1 past the table)."""
     top = sigma.n_defined()
     beyond = 0.0
     if sigma.tail_coeff > 0:
@@ -35,23 +35,20 @@ def _beta_suffix(sigma: "SigmaSequence", b: float) -> tuple[float, ...]:
         beyond = sigma.tail_coeff * p_top ** (1.0 - s) / (s - 1.0)
     out = [beyond] * (top + 1)
     for i in range(top, 0, -1):
-        out[i - 1] = out[i] + sigma.beta(i, b)
+        out[i - 1] = out[i] + term(i)
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _beta_suffix(sigma: "SigmaSequence", b: float) -> tuple[float, ...]:
+    """suffix[N] = rigorous upper bound on sum_{i > N} sigma_i alpha_i."""
+    return _suffix(sigma, lambda i: sigma.beta(i, b))
 
 
 @lru_cache(maxsize=64)
 def _sigma_suffix(sigma: "SigmaSequence") -> tuple[float, ...]:
     """suffix[N] = rigorous upper bound on sum_{i > N} sigma_i."""
-    top = sigma.n_defined()
-    beyond = 0.0
-    if sigma.tail_coeff > 0:
-        p_top = float(prime_at(TABLE_SIZE))
-        s = sigma.tail_power
-        beyond = sigma.tail_coeff * p_top ** (1.0 - s) / (s - 1.0)
-    out = [beyond] * (top + 1)
-    for i in range(top, 0, -1):
-        out[i - 1] = out[i] + sigma.sigma(i)
-    return tuple(out)
+    return _suffix(sigma, sigma.sigma)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     SummabilityError,
     TruncationError,
+    ValuationRangeError,
 )
 from .feynman_kac import FKRequest, fk_expectation, fk_kernel, fk_kernel_product, free_propagate
 from .heat_kernel import (
@@ -54,7 +55,6 @@ from .padic import PAdicScalar
 from .rng import RngStream
 from .sampler import sample_event_path, sample_increment, sample_skeleton, sup_norm_exceeds
 from .schwartz import SimpleAdelicSB, SimplePotential, vacuum_multiplier_norm_sq, vladimirov_apply
-from .validate import run_checks
 
 TOLERANCES = {
     "kernel_normalization": 1e-10,
@@ -103,6 +103,19 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
         if v is not None:
             data[k] = v
     return RunConfig(data)
+
+
+def _doc(cfg: RunConfig, flag, key: str):
+    """The flag's JSON file, else the config's document (inline or a path);
+    the document is echoed into the config so the manifest stands alone."""
+    src = flag if flag is not None else cfg.get(key)
+    if src is None:
+        return None
+    if not isinstance(src, dict):
+        with open(src) as fh:
+            src = json.load(fh)
+    cfg[key] = src
+    return src
 
 
 def _sigma_from_config(cfg: RunConfig) -> SigmaSequence:
@@ -165,7 +178,7 @@ def _finish(command, cfg, out, fmt, schema, header, rows, derived, t0):
 def _run(fn):
     try:
         fn()
-    except (TruncationError, BridgeUnderflowError) as exc:
+    except (TruncationError, BridgeUnderflowError, ValuationRangeError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(3)
     except (ConfigError, SummabilityError, ValueError) as exc:
@@ -411,11 +424,9 @@ def operator_cmd(config_path, output, fmt, seed, b, primes, observable, **_):
                 quad += term
                 k += 1
             rows.append(["norm", p, bb, "", closed, quad, abs(closed - quad)])
-        if cfg.get("observable") or observable:
-            path = cfg.get("observable", observable)
-            with open(path) as fh:
-                obs = observable_from_json(json.load(fh))
-            for p, f in obs.factors:
+        obs_doc = _doc(cfg, observable, "observable")
+        if obs_doc:
+            for p, f in observable_from_json(obs_doc).factors:
                 params = KernelParams(p, bb, 1.0)
                 for m in range(-3, 4):
                     x = PAdicScalar(p, -m, 1, 24)
@@ -460,25 +471,13 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
         sd = cfg.need("seed", int, 1)
         wk = cfg.get("workers") or _default_workers()
 
-        def _doc(flag, key):
-            """The flag's JSON file, else the config's document (inline or a path);
-            the document is echoed into the config so the manifest stands alone."""
-            src = flag if flag is not None else cfg.get(key)
-            if src is None:
-                return None
-            if not isinstance(src, dict):
-                with open(src) as fh:
-                    src = json.load(fh)
-            cfg[key] = src
-            return src
-
-        obs_doc = _doc(observable, "observable")
+        obs_doc = _doc(cfg, observable, "observable")
         alpha_f = observable_from_json(obs_doc) if obs_doc else SimpleAdelicSB.vacuum()
-        pot_doc = _doc(potential, "potential")
+        pot_doc = _doc(cfg, potential, "potential")
         pot = potential_from_json(pot_doc) if pot_doc else SimplePotential.zero()
-        pt_doc = _doc(point_file, "point")
+        pt_doc = _doc(cfg, point_file, "point")
         x = point_from_json(pt_doc) if pt_doc else AdelicPoint.zero()
-        y_doc = _doc(endpoint_file, "endpoint")
+        y_doc = _doc(cfg, endpoint_file, "endpoint")
         y = point_from_json(y_doc) if y_doc else None
 
         N = cfg.need("truncation", int, max(
@@ -539,6 +538,8 @@ def validate_cmd(config_path, output, fmt, seed, full, inject_alpha_bug, **_):
 
     def go():
         t0 = time.time()
+        from .validate import run_checks  # scipy loads only for this command
+
         cfg = _load_config(config_path, dict(format=fmt))
         results = run_checks(fast=not full, inject_alpha_bug=inject_alpha_bug)
         rows = [[r.module, r.name, r.passed, r.detail, r.tolerance] for r in results]

@@ -31,6 +31,7 @@ from .adelic import (
 from .errors import ConfigError, PrecisionError, ResolutionError
 from .heat_kernel import (
     KernelParams,
+    RadialLaw,
     ball_kernel_mass,
     density,
     density_center,
@@ -256,6 +257,7 @@ class _PrimePlan:
     alpha_f: SBFunction
     v_term: tuple[float, SBFunction] | None
     r_min: int
+    law: RadialLaw | None  # increment law at the request's t; None under a potential
 
 
 def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
@@ -270,12 +272,13 @@ def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
             start = PAdicScalar.zero(p)
         v_term = req.v.component(p)
         fns = (alpha_f, v_term[1]) if v_term is not None else (alpha_f,)
+        law = increment_law(params, req.t) if v_term is None else None
         plans.append(_PrimePlan(i - 1, params, start, alpha_f, v_term,
-                                resolution_for(*fns)))
+                                resolution_for(*fns), law))
     return tuple(plans)
 
 
-def _endpoint_factor(plan: _PrimePlan, t: float, gen: np.random.Generator,
+def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator,
                      count: int, precision: int) -> np.ndarray:
     """Vectorized evaluation of the observable factor at X_t = start + inc.
 
@@ -283,8 +286,7 @@ def _endpoint_factor(plan: _PrimePlan, t: float, gen: np.random.Generator,
     ultrametric max rule; paths whose increment radius collides with a term
     offset are materialized digit-exactly.
     """
-    law = increment_law(plan.params, t)
-    exps = law.sample_exponents(gen, count)
+    exps = plan.law.sample_exponents(gen, count)
     p = plan.params.p
     collide_exps = set()
     term_data = []
@@ -336,7 +338,7 @@ def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.nda
     for plan in plans:
         gen = stream.child(chunk_idx, plan.slot).generator()
         if plan.v_term is None:
-            vals = _endpoint_factor(plan, req.t, gen, count, req.precision)
+            vals = _endpoint_factor(plan, gen, count, req.precision)
         else:
             acts, vals = _event_factor(plan, req.t, gen, count)
             actions += acts
@@ -666,8 +668,7 @@ def semigroup_check_mc(sigma: SigmaSequence, b: float, s: float, t: float,
                     action += tau * duration * eval_sb(f, pos).real
                 endpoint[plan.params.p] = path.end_position()
             else:
-                law = increment_law(plan.params, s)
-                m = int(law.sample_exponents(gen, 1)[0])
+                m = int(plan.law.sample_exponents(gen, 1)[0])
                 endpoint[plan.params.p] = plan.start + uniform_sphere(gen, plan.params.p, m, 24)
         inner = fk_expectation(FKRequest(
             sigma, b, t, AdelicPoint.of(endpoint), alpha, v, n_in, N,

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,21 @@ class TestOperator:
         two = [r for r in rows if r[2] == "2"][0]
         assert float(two[5]) == pytest.approx(4 / 7, abs=1e-14)
         assert float(two[7]) < 1e-12
+
+    def test_rerun_from_manifest_keeps_observable(self, runner, tmp_path):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"factors": [{"prime": 2, "terms": [
+            {"zero": True, "radius_exp": 0, "coeff": 1.0}]}]}))
+        out = tmp_path / "a.csv"
+        res = runner.invoke(main, ["operator", "--primes", "2", "--observable", str(obs),
+                                   "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert any(r[1] == "apply" for r in read_csv(out)[1:])
+        again = tmp_path / "b.csv"
+        res = runner.invoke(main, ["operator", "--config", str(out) + ".manifest.json",
+                                   "-o", str(again)])
+        assert res.exit_code == 0, res.output
+        assert again.read_bytes() == out.read_bytes()
 
 
 class TestFk:
@@ -271,6 +288,15 @@ class TestNumericFailureExitCode:
         ])
         assert res.exit_code == 3
 
+    def test_valuation_out_of_range_exits_three(self, runner, tmp_path):
+        pt = tmp_path / "pt.json"
+        pt.write_text(json.dumps({"components": [
+            {"prime": 2, "valuation": 2_000_000, "digits": [1]}]}))
+        res = runner.invoke(main, ["fk", "--n-paths", "10", "-N", "1", "--point", str(pt),
+                                   "-o", str(tmp_path / "fk.csv")])
+        assert res.exit_code == 3
+        assert "numeric failure" in res.output
+
 
 class TestManifestReproducibility:
     def test_rerun_from_manifest_bit_identical(self, runner, tmp_path):
@@ -312,3 +338,12 @@ class TestValidateCommand:
         res = runner.invoke(main, ["validate", "--inject-alpha-bug", "-o", str(out)])
         assert "injected-bug detected" in res.output
         assert res.exit_code == 0
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, adelic_diffusion.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "[]"

@@ -174,6 +174,18 @@ class TestFkExpectation:
         with pytest.raises(PrecisionError, match="needs a resolved point"):
             fk_expectation(req)
 
+    def test_one_law_build_per_prime_per_request(self):
+        # past the law cache's 512 entries, a per-chunk lookup would rebuild
+        # every prime's law in each of the 4 chunks
+        from adelic_diffusion.heat_kernel import cached_radial_law
+
+        n_primes = 600
+        cached_radial_law.cache_clear()
+        req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 4 * 64, n_primes,
+                        seed=721, chunk_size=64)
+        fk_expectation(req)
+        assert cached_radial_law.cache_info().misses == n_primes
+
     def test_quadrature_mode(self):
         req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, VPOT, 300, 2,
                         seed=709, mode="quadrature", h=1.0 / 128)
