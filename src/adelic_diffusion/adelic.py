@@ -23,6 +23,10 @@ from .primes import TABLE_SIZE, prime_at, prime_index
 from .rng import RngStream
 from .sampler import EventPath, PathSkeleton, sample_event_path, sample_skeleton
 
+# Paths per (chunk, prime) stream in exit_count_samples; fixing it keeps the
+# draws of prime i the same whatever the truncation N.
+EXIT_COUNT_CHUNK = 8192
+
 
 def _suffix(sigma: "SigmaSequence", term) -> tuple[float, ...]:
     """suffix[N] = rigorous upper bound on sum_{i > N} term(i), for a term
@@ -300,7 +304,7 @@ def sample_adelic_path(sigma: SigmaSequence, b: float, T: float, start: AdelicPo
 
 
 def exit_count_samples(sigma: SigmaSequence, b: float, T: float, N: int,
-                       n: int, seed: int, chunk_size: int = 8192) -> np.ndarray:
+                       n: int, seed: int) -> np.ndarray:
     """n Monte Carlo draws of the exit count over primes 1..N.
 
     A component exits Z_p by T iff the first holding time of its event
@@ -315,7 +319,7 @@ def exit_count_samples(sigma: SigmaSequence, b: float, T: float, N: int,
     start = 0
     chunk = 0
     while start < n:
-        m = min(chunk_size, n - start)
+        m = min(EXIT_COUNT_CHUNK, n - start)
         acc = np.zeros(m, dtype=np.int64)
         for i in range(N):
             gen = base.child(chunk, i).generator()

@@ -30,7 +30,7 @@ from .adelic import (
     exit_count_factorial_bound,
     exit_count_moment,
     exit_count_pmf,
-    sample_adelic_path,
+    exit_count_samples,
     tail_certificate,
 )
 from .errors import (
@@ -48,12 +48,11 @@ from .heat_kernel import (
     density,
     exit_prob,
     radial_law,
-    sphere_mass,
 )
 from .io import observable_from_json, point_from_json, potential_from_json
 from .padic import PAdicScalar
 from .rng import RngStream
-from .sampler import sample_event_path, sample_increment, sample_skeleton, sup_norm_exceeds
+from .sampler import sample_event_path, sample_skeleton, sup_norm_exceeds
 from .schwartz import SimpleAdelicSB, SimplePotential, vacuum_multiplier_norm_sq, vladimirov_apply
 
 TOLERANCES = {
@@ -74,11 +73,15 @@ SEED_SCHEME = (
 )
 
 
-def _default_workers() -> int:
+def _workers(cfg: RunConfig) -> int:
+    """Worker count from the config, else ADELIC_DIFFUSION_WORKERS, else 1."""
+    if "workers" in cfg:
+        return cfg.need("workers", int)
+    raw = os.environ.get("ADELIC_DIFFUSION_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("ADELIC_DIFFUSION_WORKERS", "1")))
+        return int(raw)
     except ValueError:
-        return 1
+        raise ConfigError(f"ADELIC_DIFFUSION_WORKERS={raw!r} is not an integer") from None
 
 
 class RunConfig(dict):
@@ -141,10 +144,10 @@ def _write_rows(out_path: Path, fmt: str, schema: str, header: list[str], rows) 
 
 
 def _cell(v):
+    if isinstance(v, (np.floating, np.integer)):  # before float: np.float64 is one
+        return repr(v.item())
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return repr(v.item())
     return v
 
 
@@ -372,13 +375,8 @@ def exit_count_cmd(config_path, output, fmt, seed, b, horizon, truncation, k_max
         n = cfg.need("n_paths", int, 10_000)
         sd = cfg.need("seed", int, 1)
         dist = exit_count_pmf(sigma, bb, T, N, km)
-        counts = np.zeros(km + 1)
-        for j in range(n):
-            bundle = sample_adelic_path(sigma, bb, T, AdelicPoint.zero(), N,
-                                        RngStream(sd).child(j), resolution=0)
-            k = bundle.exit_count()
-            if k <= km:
-                counts[k] += 1
+        counts = np.bincount(exit_count_samples(sigma, bb, T, N, n, sd),
+                             minlength=km + 1)[:km + 1]
         rows = []
         for k in range(km + 1):
             bound = exit_count_factorial_bound(sigma, bb, T, k)
@@ -469,7 +467,7 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
         tt = cfg.need("t", float, 1.0)
         n = cfg.need("n_paths", int, 20_000)
         sd = cfg.need("seed", int, 1)
-        wk = cfg.get("workers") or _default_workers()
+        wk = _workers(cfg)
 
         obs_doc = _doc(cfg, observable, "observable")
         alpha_f = observable_from_json(obs_doc) if obs_doc else SimpleAdelicSB.vacuum()
@@ -485,7 +483,7 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
             y.max_active_index() if y else 0,
         ))
         req = FKRequest(sigma, bb, tt, x, alpha_f, pot, n, N, seed=sd, y=y,
-                        workers=int(wk), bridge_steps=cfg.need("bridge_steps", int, 128))
+                        workers=wk, bridge_steps=cfg.need("bridge_steps", int, 128))
         rows = []
         if y is None:
             est = fk_expectation(req)
@@ -557,54 +555,6 @@ def validate_cmd(config_path, output, fmt, seed, full, inject_alpha_bug, **_):
             sys.exit(0 if hit else 1)
         if any(not r.passed for r in results):
             sys.exit(1)
-
-    _run(go)
-
-
-@main.command("bench")
-@_with_common
-@click.option("--n", type=int, default=None)
-def bench_cmd(config_path, output, fmt, seed, n, **_):
-    """Throughput of the core samplers."""
-
-    def go():
-        t0 = time.time()
-        cfg = _load_config(config_path, dict(n=n, seed=seed, format=fmt))
-        nn = cfg.need("n", int, 20_000)
-        sd = cfg.need("seed", int, 1)
-        params = KernelParams(2, 1.0, 1.0)
-        zero = PAdicScalar.zero(2)
-        rows = []
-
-        gen = RngStream(sd).child(1).generator()
-        t1 = time.time()
-        for _ in range(nn):
-            sample_increment(params, 1.0, gen, 16)
-        dt = time.time() - t1
-        rows.append(["increment", nn, dt, nn / dt])
-
-        gen = RngStream(sd).child(2).generator()
-        t1 = time.time()
-        for _ in range(nn):
-            sample_event_path(params, zero, 1.0, 0, gen)
-        dt = time.time() - t1
-        rows.append(["event_path", nn, dt, nn / dt])
-
-        from .sampler import BridgeSpec, sample_bridge
-
-        spec = BridgeSpec(params, 1.0, zero, PAdicScalar.from_int(1, 2))
-        epochs = [k / 16 for k in range(1, 16)]
-        gen = RngStream(sd).child(3).generator()
-        nb = max(200, nn // 20)
-        t1 = time.time()
-        for _ in range(nb):
-            sample_bridge(params, spec, epochs, gen, 16)
-        dt = time.time() - t1
-        rows.append(["bridge_16_epochs", nb, dt, nb / dt])
-
-        _finish("bench", cfg, cfg.get("output", output), cfg.get("format", "csv"),
-                "bench_v1", ["benchmark", "n", "seconds", "per_second"],
-                rows, derived={}, t0=t0)
 
     _run(go)
 

@@ -48,7 +48,7 @@ from .sampler import (
     increment_law,
     sample_bridge,
     sample_event_path,
-    sample_skeleton,
+    sample_increment,
 )
 from .schwartz import (
     SBFunction,
@@ -76,8 +76,6 @@ class FKRequest:
     truncation: int
     seed: int
     y: AdelicPoint | None = None
-    mode: str = "exact"
-    h: float | None = None
     bridge_steps: int = 128
     chunk_size: int = DEFAULT_CHUNK
     workers: int = 1
@@ -86,10 +84,12 @@ class FKRequest:
     def __post_init__(self):
         if not self.t > 0:
             raise ConfigError("t must be positive")
-        if self.mode not in ("exact", "quadrature"):
-            raise ConfigError("mode must be 'exact' or 'quadrature'")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be positive")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size must be positive")
+        if self.workers < 1:
+            raise ConfigError("workers must be positive")
         if self.truncation < max(
             self.x.max_active_index(),
             self.y.max_active_index() if self.y is not None else 0,
@@ -105,10 +105,8 @@ class FKEstimate:
     std_error: float
     n_paths: int
     tail_certificate: float
-    mode: str
     density_factor: float | None = None
     bridge_factor: float | None = None
-    extras: tuple[tuple[str, float], ...] = ()
 
     @property
     def real(self) -> float:
@@ -119,15 +117,13 @@ class FKEstimate:
 
 
 def action_integral(path: EventPath | PathSkeleton, v: SimplePotential,
-                    t: float, mode: str = "exact", h: float | None = None,
-                    weights: str = "left") -> float:
+                    t: float, weights: str = "left") -> float:
     """Time integral of the potential component along a single-prime path.
 
     Event paths give the exact integral whenever the potential is constant
     at the path resolution.  Skeletons integrate the cadlag interpolant:
     'left' weights are the plain piecewise-constant sum, 'trapezoid'
     averages endpoint values, which is invariant under time reversal.
-    In quadrature mode the interpolant is sampled on a step-h grid.
     """
     if isinstance(path, EventPath):
         p = path.params.p
@@ -150,15 +146,6 @@ def action_integral(path: EventPath | PathSkeleton, v: SimplePotential,
     tau, f = comp
     times = path.times
     vals = [eval_sb(f, pos).real for pos in path.values]
-    if mode == "quadrature":
-        step = h if h is not None else t / 1024.0
-        steps = max(1, int(round(min(t, times[-1]) / step)))
-        total = 0.0
-        for k in range(steps):
-            s = (k + 0.5) * step
-            idx = int(np.searchsorted(times, s, side="right")) - 1
-            total += step * vals[idx]
-        return tau * total
     total = 0.0
     for k in range(len(times) - 1):
         dt = min(times[k + 1], t) - min(times[k], t)
@@ -314,18 +301,14 @@ def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator,
     return values
 
 
-def _event_factor(plan: _PrimePlan, t: float, gen: np.random.Generator,
-                  count: int) -> tuple[np.ndarray, np.ndarray]:
+def _event_factor(plan: _PrimePlan, v: SimplePotential, t: float,
+                  gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(action, observable factor) for primes carrying a potential term."""
     actions = np.zeros(count)
     values = np.zeros(count, dtype=complex)
-    tau, f = plan.v_term
     for j in range(count):
         path = sample_event_path(plan.params, plan.start, t, plan.r_min, gen)
-        total = 0.0
-        for duration, pos in path.segments(t):
-            total += duration * eval_sb(f, pos).real
-        actions[j] = tau * total
+        actions[j] = action_integral(path, v, t)
         values[j] = eval_sb(plan.alpha_f, path.end_position())
     return actions, values
 
@@ -340,7 +323,7 @@ def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.nda
         if plan.v_term is None:
             vals = _endpoint_factor(plan, gen, count, req.precision)
         else:
-            acts, vals = _event_factor(plan, req.t, gen, count)
+            acts, vals = _event_factor(plan, req.v, req.t, gen, count)
             actions += acts
         weighted *= vals
         plain *= vals
@@ -390,22 +373,11 @@ def _mean_se(values: np.ndarray) -> tuple[complex, float]:
 def fk_expectation(req: FKRequest) -> FKEstimate:
     """Unbiased Monte Carlo estimate of (pi_t alpha)(x) truncated at N primes.
 
-    Exact mode: primes without a potential term contribute one radial
-    increment; primes with one run event paths at the constancy scale, so
-    the action integral carries no discretization error.
+    Primes without a potential term contribute one radial increment; primes
+    with one run event paths at the constancy scale, so the action integral
+    carries no discretization error.
     """
-    if req.mode != "exact":
-        return _fk_expectation_quadrature(req)
-    plans = _compile_plans(req)
-    data = _run_chunks("exact", req, plans)
-    mean, se = _mean_se(data[:, 0])
-    return FKEstimate(
-        value=mean,
-        std_error=se,
-        n_paths=req.n_paths,
-        tail_certificate=tail_certificate(req.sigma, req.b, req.t, req.truncation),
-        mode=req.mode,
-    )
+    return fk_expectation_pair(req)[0]
 
 
 def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
@@ -421,50 +393,9 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     _, d_se = _mean_se(data[:, 1] - data[:, 0])
     cert = tail_certificate(req.sigma, req.b, req.t, req.truncation)
     return (
-        FKEstimate(w_mean, w_se, req.n_paths, cert, req.mode),
-        FKEstimate(p_mean, p_se, req.n_paths, cert, req.mode),
+        FKEstimate(w_mean, w_se, req.n_paths, cert),
+        FKEstimate(p_mean, p_se, req.n_paths, cert),
         d_se,
-    )
-
-
-def _fk_expectation_quadrature(req: FKRequest) -> FKEstimate:
-    """Skeleton-grid fallback for potentials without exact constancy scales.
-
-    Composite midpoint rule with step h on the skeleton interpolant, plus
-    one Richardson halving to expose the time-discretization bias.
-    """
-    h = req.h if req.h is not None else req.t / 1024.0
-    steps = max(2, int(round(req.t / h)))
-    epochs = [req.t * (k + 1) / steps for k in range(steps)]
-    stream = RngStream(req.seed)
-    vals = np.zeros(req.n_paths, dtype=complex)
-    vals_coarse = np.zeros(req.n_paths, dtype=complex)
-    plans = _compile_plans(req)
-    for j in range(req.n_paths):
-        total, total_c = 0.0, 0.0
-        obs = 1.0 + 0j
-        for plan in plans:
-            gen = stream.child(j, plan.slot).generator()
-            sk = sample_skeleton(plan.params, epochs, plan.start, gen, req.precision)
-            if plan.v_term is not None:
-                pot = SimplePotential(((plan.params.p, *plan.v_term),))
-                total += action_integral(sk, pot, req.t)
-                total_c += action_integral(
-                    PathSkeleton(plan.params, sk.times[::2], sk.values[::2]), pot, req.t
-                )
-            obs *= eval_sb(plan.alpha_f, sk.end_position())
-        vals[j] = math.exp(-total) * obs
-        vals_coarse[j] = math.exp(-total_c) * obs
-    mean, se = _mean_se(vals)
-    mean_c, _ = _mean_se(vals_coarse)
-    bias = abs(mean - mean_c)
-    return FKEstimate(
-        value=mean,
-        std_error=se,
-        n_paths=req.n_paths,
-        tail_certificate=tail_certificate(req.sigma, req.b, req.t, req.truncation),
-        mode="quadrature",
-        extras=(("richardson_bias", bias), ("h", req.t / steps)),
     )
 
 
@@ -549,7 +480,7 @@ def fk_kernel(req: FKRequest) -> FKEstimate:
         return FKEstimate(
             complex(dens), 0.0, req.n_paths,
             tail_certificate(req.sigma, req.b, req.t, req.truncation),
-            req.mode, density_factor=dens, bridge_factor=1.0,
+            density_factor=dens, bridge_factor=1.0,
         )
     data = _run_chunks("kernel", req, plans)
     per_path = np.prod(data, axis=1)
@@ -559,7 +490,6 @@ def fk_kernel(req: FKRequest) -> FKEstimate:
         std_error=se * dens,
         n_paths=req.n_paths,
         tail_certificate=tail_certificate(req.sigma, req.b, req.t, req.truncation),
-        mode=req.mode,
         density_factor=dens,
         bridge_factor=mean.real,
     )
@@ -588,7 +518,6 @@ def fk_kernel_product(req: FKRequest) -> tuple[FKEstimate, tuple]:
         std_error=abs(total) * math.sqrt(rel_var),
         n_paths=req.n_paths,
         tail_certificate=tail_certificate(req.sigma, req.b, req.t, req.truncation),
-        mode=req.mode,
         density_factor=dens,
         bridge_factor=total / dens if dens else None,
     )
@@ -663,13 +592,10 @@ def semigroup_check_mc(sigma: SigmaSequence, b: float, s: float, t: float,
             gen = stream.child(j, plan.slot).generator()
             if plan.v_term is not None:
                 path = sample_event_path(plan.params, plan.start, s, plan.r_min, gen)
-                tau, f = plan.v_term
-                for duration, pos in path.segments(s):
-                    action += tau * duration * eval_sb(f, pos).real
+                action += action_integral(path, v, s)
                 endpoint[plan.params.p] = path.end_position()
             else:
-                m = int(plan.law.sample_exponents(gen, 1)[0])
-                endpoint[plan.params.p] = plan.start + uniform_sphere(gen, plan.params.p, m, 24)
+                endpoint[plan.params.p] = plan.start + sample_increment(plan.params, s, gen, 24)
         inner = fk_expectation(FKRequest(
             sigma, b, t, AdelicPoint.of(endpoint), alpha, v, n_in, N,
             seed=seed * 1_000_003 + j + 1,

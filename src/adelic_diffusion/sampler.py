@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import BridgeUnderflowError, ResolutionError, TruncationError
 from .heat_kernel import (
-    DEFAULT_POLICY,
     KernelParams,
-    RadialLaw,
-    SeriesPolicy,
     ball_mass,
     cached_radial_law,
     density,
@@ -34,7 +31,6 @@ from .heat_kernel import (
 from .padic import DEFAULT_PRECISION, PAdicScalar, uniform_sphere
 from .rng import as_generator
 
-TRUNCATION_COVERAGE = 1.0 - 1e-12
 # Largest expected event count rate * T an event path may be asked for.
 MAX_EXPECTED_EVENTS = 10**7
 # Equal-sphere rejection accepts with probability >= (p - 2)/(p - 1) >= 1/2,
@@ -121,11 +117,8 @@ class BridgeSpec:
             raise ValueError("bridge endpoints must share the kernel prime")
 
 
-def increment_law(params: KernelParams, dt: float,
-                  policy: SeriesPolicy = DEFAULT_POLICY,
-                  coverage: float = TRUNCATION_COVERAGE) -> RadialLaw:
-    """Radius window of the time-dt increment, covering >= coverage mass."""
-    return cached_radial_law(params, dt, policy, coverage)
+# Radius window of the time-dt increment, covering >= 1 - 1e-12 of its mass.
+increment_law = cached_radial_law
 
 
 def sample_increment(params: KernelParams, dt: float, rng,

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from adelic_diffusion import SigmaSequence, exit_count_samples
 from adelic_diffusion.cli import main
 
 
@@ -93,6 +95,15 @@ class TestExitCount:
             assert r[8] == "True"  # strictly below factorial bound for k >= 1
         moment_rows = [r for r in rows[1:] if r[1] == "moment"]
         assert all(r[8] == "True" for r in moment_rows)
+
+    def test_mc_column_is_vectorised_sampler(self, runner, tmp_path):
+        out = tmp_path / "c.csv"
+        res = runner.invoke(main, ["exit-count", "-N", "6", "--k-max", "4",
+                                   "--n-paths", "3000", "--seed", "12", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        mc = [float(r[7]) for r in read_csv(out)[1:] if r[1] == "pmf"]
+        draws = exit_count_samples(SigmaSequence.inverse_square(), 1.0, 1.0, 6, 3000, 12)
+        assert mc == list(np.bincount(draws, minlength=7)[:5] / 3000)
 
 
 class TestOperator:
@@ -298,6 +309,23 @@ class TestNumericFailureExitCode:
         assert "numeric failure" in res.output
 
 
+class TestWorkerCount:
+    def fk(self, runner, tmp_path, args, env=None):
+        return runner.invoke(main, ["fk", "--n-paths", "10", "-N", "2", *args,
+                                    "-o", str(tmp_path / "fk.csv")], env=env)
+
+    def test_non_integer_environment_is_config_error(self, runner, tmp_path):
+        res = self.fk(runner, tmp_path, [], env={"ADELIC_DIFFUSION_WORKERS": "abc"})
+        assert res.exit_code == 2
+        assert "ADELIC_DIFFUSION_WORKERS" in res.output
+
+    def test_zero_workers_is_config_error(self, runner, tmp_path):
+        res = self.fk(runner, tmp_path, ["--workers", "0"],
+                      env={"ADELIC_DIFFUSION_WORKERS": "2"})
+        assert res.exit_code == 2
+        assert "workers must be positive" in res.output
+
+
 class TestManifestReproducibility:
     def test_rerun_from_manifest_bit_identical(self, runner, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -320,24 +348,19 @@ class TestManifestReproducibility:
         assert all(doc["schema_id"] == "density_v1" for doc in lines)
 
 
-class TestBench:
-    def test_reports_throughput(self, runner, tmp_path):
-        out = tmp_path / "b.csv"
-        res = runner.invoke(main, ["bench", "--n", "500", "--seed", "1",
-                                   "-o", str(out)])
-        assert res.exit_code == 0, res.output
-        rows = read_csv(out)[1:]
-        names = {r[1] for r in rows}
-        assert {"increment", "event_path", "bridge_16_epochs"} <= names
-        assert all(float(r[4]) > 0 for r in rows)
-
-
 class TestValidateCommand:
     def test_injected_alpha_bug_detected(self, runner, tmp_path):
         out = tmp_path / "v.csv"
         res = runner.invoke(main, ["validate", "--inject-alpha-bug", "-o", str(out)])
         assert "injected-bug detected" in res.output
         assert res.exit_code == 0
+
+    def test_injected_alpha_bug_runs_only_exit_law(self, runner, tmp_path):
+        out = tmp_path / "v.csv"
+        res = runner.invoke(main, ["validate", "--inject-alpha-bug", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_csv(out)[1:]
+        assert [(r[2], r[3]) for r in rows] == [("exit_law_event_mc", "False")]
 
 
 class TestImportCost:

@@ -8,6 +8,7 @@ import pytest
 from adelic_diffusion import (
     AdelicPoint,
     Ball,
+    ConfigError,
     FKRequest,
     KernelParams,
     PAdicScalar,
@@ -29,7 +30,6 @@ from adelic_diffusion import (
     free_propagate,
     generator_check,
     sample_event_path,
-    sample_skeleton,
     semigroup_check_mc,
     semigroup_compose_free,
 )
@@ -80,19 +80,6 @@ class TestActionIntegral:
             action_integral(path, pot, 1.0) for _, path in bundle.components
         )
         assert total == pytest.approx(parts, rel=1e-14)
-
-    def test_quadrature_richardson(self):
-        # skeleton quadrature converges O(h) to the interpolant integral
-        gen = RngStream(703).generator()
-        pot = SimplePotential.of({2: (1.0, SBFunction.vacuum(2))})
-        epochs = [k / 64 for k in range(1, 65)]
-        sk = sample_skeleton(KernelParams(2, 1.0, 1.0), epochs,
-                             PAdicScalar.zero(2), gen, 16)
-        exact_interp = action_integral(sk, pot, 1.0)
-        q1 = action_integral(sk, pot, 1.0, mode="quadrature", h=1 / 256)
-        q2 = action_integral(sk, pot, 1.0, mode="quadrature", h=1 / 512)
-        assert abs(q2 - exact_interp) <= abs(q1 - exact_interp) + 1e-12
-        assert abs(q2 - exact_interp) < 1.0 / 256
 
 
 class TestFreePropagate:
@@ -186,13 +173,14 @@ class TestFkExpectation:
         fk_expectation(req)
         assert cached_radial_law.cache_info().misses == n_primes
 
-    def test_quadrature_mode(self):
-        req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, VPOT, 300, 2,
-                        seed=709, mode="quadrature", h=1.0 / 128)
-        est = fk_expectation(req)
-        extras = dict(est.extras)
-        assert "richardson_bias" in extras
-        assert est.value.real <= 1.0
+    def test_chunk_size_below_one_rejected(self):
+        # a zero chunk would never advance the chunk loop
+        with pytest.raises(ConfigError, match="chunk_size"):
+            FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 10, 2, seed=1, chunk_size=0)
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 10, 2, seed=1, workers=0)
 
 
 class TestKernels:
