@@ -8,7 +8,6 @@ from .adelic import (
     AdelicPoint,
     ExitCountDistribution,
     SigmaSequence,
-    adelic_ball_probability,
     choose_truncation,
     exit_count_factorial_bound,
     exit_count_moment,
@@ -35,6 +34,7 @@ from .feynman_kac import (
     GeneratorReport,
     SemigroupReport,
     action_integral,
+    adelic_ball_probability,
     fk_expectation,
     fk_expectation_pair,
     fk_kernel,
@@ -47,7 +47,6 @@ from .feynman_kac import (
 from .heat_kernel import (
     KernelParams,
     RadialLaw,
-    SeriesPolicy,
     alpha,
     ball_kernel_mass,
     ball_mass,

@@ -17,11 +17,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, SummabilityError
-from .heat_kernel import KernelParams, alpha, ball_kernel_mass
-from .padic import Ball, PAdicScalar
+from .heat_kernel import KernelParams, alpha
+from .padic import PAdicScalar
 from .primes import TABLE_SIZE, prime_at, prime_index
 from .rng import RngStream
-from .sampler import EventPath, PathSkeleton, sample_event_path, sample_skeleton
+from .sampler import (
+    EventPath,
+    PathSkeleton,
+    sample_event_path,
+    sample_skeleton,
+    sup_norm_exceeds,
+)
 
 # Paths per (chunk, prime) stream in exit_count_samples; fixing it keeps the
 # draws of prime i the same whatever the truncation N.
@@ -237,11 +243,7 @@ class AdelicPathBundle:
                 raise ConfigError("exit counting needs event-path bundles")
             if path.resolution > 0:
                 raise ConfigError("exit counting needs resolution <= p^0")
-            for _, pos in path.events:
-                d = pos - path.start
-                if not d.is_zero() and d.abs_exp() > 0:
-                    n += 1
-                    break
+            n += sup_norm_exceeds(path, 0)
         return n
 
 
@@ -329,33 +331,6 @@ def exit_count_samples(sigma: SigmaSequence, b: float, T: float, N: int,
         start += m
         chunk += 1
     return out
-
-
-def adelic_ball_probability(sigma: SigmaSequence, b: float, t: float,
-                            balls: dict[int, Ball], N: int) -> tuple[float, float]:
-    """P(X_t component-wise in the given balls, Z_p implicitly elsewhere).
-
-    Exact ball masses for primes 1..N; the inactive tail contributes the
-    bracket [e^{-t sum_{i>N} sigma_i}, 1].
-    """
-    if not t > 0:
-        raise ConfigError("t must be positive")
-    for p in balls:
-        if prime_index(p) > N:
-            raise ConfigError(f"ball specified for prime {p} beyond truncation {N}")
-    value = 1.0
-    for i in range(1, N + 1):
-        p = prime_at(i)
-        params = sigma.kernel_params(i, b)
-        ball = balls.get(p)
-        if ball is None:
-            value *= ball_kernel_mass(params, t, None, 0)
-        else:
-            value *= ball_kernel_mass(
-                params, t, ball.center.abs_exp(), ball.radius_exp
-            )
-    lo = value * math.exp(-t * sigma.sigma_tail_upper(N))
-    return lo, value
 
 
 @dataclass(frozen=True)

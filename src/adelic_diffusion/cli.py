@@ -171,8 +171,11 @@ def _write_manifest(out_path: Path, command: str, cfg: RunConfig, derived: dict,
     return mpath
 
 
-def _finish(command, cfg, out, fmt, schema, header, rows, derived, t0):
-    out_path = Path(out if out else f"{command.replace('-', '_')}.{'csv' if fmt == 'csv' else 'jsonl'}")
+def _finish(command, cfg, output, schema, header, rows, derived, t0):
+    """Write the data file and its manifest; an -o flag wins over a config "output"."""
+    fmt = cfg.get("format", "csv")
+    default = f"{command.replace('-', '_')}.{'csv' if fmt == 'csv' else 'jsonl'}"
+    out_path = Path(output or cfg.get("output") or default)
     _write_rows(out_path, fmt, schema, header, rows)
     _write_manifest(out_path, command, cfg, derived, time.time() - t0, fmt)
     click.echo(f"wrote {out_path} (+ manifest)")
@@ -210,7 +213,7 @@ def main():
     """p-adic and adelic diffusion experiments."""
 
 
-@main.command()
+@main.command("density")
 @_with_common
 @click.option("--prime", "-p", type=int, default=None)
 @click.option("--b", type=float, default=None)
@@ -238,14 +241,10 @@ def density_cmd(config_path, output, fmt, seed, prime, b, sigma, t, **_):
             "alpha": alpha(params), "window": [law.m_lo, law.m_hi],
             "normalization_defect": abs(total + law.bottom_mass + law.top_loss - 1.0),
         }
-        f = cfg.get("format", "csv")
-        _finish("density", cfg, cfg.get("output", output), f, "density_v1",
+        _finish("density", cfg, output, "density_v1",
                 ["m", "density", "sphere_mass", "ball_mass"], rows, derived, t0)
 
     _run(go)
-
-
-main.add_command(density_cmd, name="density")
 
 
 @main.command("exit")
@@ -294,9 +293,8 @@ def exit_cmd(config_path, output, fmt, seed, prime, b, sigma, horizon, r, n_path
              math.sqrt(analytic * (1 - analytic) / n_sk), n_sk],
         ]
         derived = {"alpha": alpha(params), "exit_rate": params.sigma * alpha(params)}
-        _finish("exit", cfg, cfg.get("output", output), cfg.get("format", "csv"),
-                "exit_v1", ["estimator", "T", "r", "value", "std_error", "n"],
-                rows, derived, t0)
+        _finish("exit", cfg, output, "exit_v1",
+                ["estimator", "T", "r", "value", "std_error", "n"], rows, derived, t0)
 
     _run(go)
 
@@ -343,8 +341,7 @@ def sample_cmd(config_path, output, fmt, seed, prime, b, sigma, horizon, n_paths
                     rows.append([j, "event", tt, params.p, v.valuation,
                                  "".join(map(str, v.digits[:12])), v.abs_exp()])
         derived = {"mode": "skeleton" if epochs else "event"}
-        _finish("sample", cfg, cfg.get("output", output), cfg.get("format", "csv"),
-                "sample_v1",
+        _finish("sample", cfg, output, "sample_v1",
                 ["path_id", "kind", "time", "prime", "valuation", "digits", "abs_exp"],
                 rows, derived, t0)
 
@@ -391,8 +388,7 @@ def exit_count_cmd(config_path, output, fmt, seed, b, horizon, truncation, k_max
             "tail_exit_bound": dist.tail_exit_bound,
             "mc_tv_distance": tv,
         }
-        _finish("exit-count", cfg, cfg.get("output", output), cfg.get("format", "csv"),
-                "exit_count_v1",
+        _finish("exit-count", cfg, output, "exit_count_v1",
                 ["kind", "k", "value", "lo", "hi", "bound", "mc", "below_bound"],
                 rows, derived, t0)
 
@@ -431,8 +427,7 @@ def operator_cmd(config_path, output, fmt, seed, b, primes, observable, **_):
                     val = vladimirov_apply(params, f, x)
                     rows.append(["apply", p, bb, m, val.real, val.imag, ""])
         derived = {"moment_identity": "norm_sq(p, b) = unit_ball_abs_moment(p, 2b)"}
-        _finish("operator", cfg, cfg.get("output", output), cfg.get("format", "csv"),
-                "operator_v1",
+        _finish("operator", cfg, output, "operator_v1",
                 ["kind", "prime", "b", "m", "value_a", "value_b", "diff"],
                 rows, derived, t0)
 
@@ -494,22 +489,19 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
                 rows.append(["free_truncated", fp.value.real, fp.value.imag, 0.0, 0,
                              fp.tail_lo_mult, "", ""])
         else:
-            est = fk_kernel(req)
-            rows.append(["kernel", est.value.real, est.value.imag, est.std_error,
-                         est.n_paths, est.tail_certificate, est.density_factor,
-                         est.bridge_factor])
+            kernels = [("kernel", fk_kernel(req))]
             if pot.components:
                 rev = fk_kernel(replace(req, x=y, y=x, seed=sd + 1))
-                rows.append(["kernel_reversed", rev.value.real, rev.value.imag,
-                             rev.std_error, rev.n_paths, rev.tail_certificate,
-                             rev.density_factor, rev.bridge_factor])
+                kernels.append(("kernel_reversed", rev))
+            factors = ()
             if cfg.get("product"):
                 pest, factors = fk_kernel_product(req)
-                rows.append(["kernel_product", pest.value.real, pest.value.imag,
-                             pest.std_error, pest.n_paths, pest.tail_certificate,
-                             pest.density_factor, pest.bridge_factor])
-                for p, mean, se in factors:
-                    rows.append([f"bridge_factor_p{p}", mean, 0.0, se, n, "", "", ""])
+                kernels.append(("kernel_product", pest))
+            for name, k in kernels:
+                rows.append([name, k.value.real, k.value.imag, k.std_error, k.n_paths,
+                             k.tail_certificate, k.density_factor, k.bridge_factor])
+            for p, mean, se in factors:
+                rows.append([f"bridge_factor_p{p}", mean, 0.0, se, n, "", "", ""])
         derived = {
             "truncation": N,
             "tail_certificate": tail_certificate(sigma, bb, tt, N),
@@ -517,8 +509,7 @@ def fk_cmd(config_path, output, fmt, seed, b, t, n_paths, truncation, observable
             "betas": [sigma.beta(i, bb) for i in range(1, N + 1)],
             "sigma_partial": sum(sigma.sigma(i) for i in range(1, N + 1)),
         }
-        _finish("fk", cfg, cfg.get("output", output), cfg.get("format", "csv"),
-                "fk_v1",
+        _finish("fk", cfg, output, "fk_v1",
                 ["quantity", "value_re", "value_im", "std_error", "n_paths",
                  "tail_certificate", "density_factor", "bridge_factor"],
                 rows, derived, t0)
@@ -543,9 +534,8 @@ def validate_cmd(config_path, output, fmt, seed, full, inject_alpha_bug, **_):
         rows = [[r.module, r.name, r.passed, r.detail, r.tolerance] for r in results]
         derived = {"n_checks": len(results),
                    "n_failed": sum(not r.passed for r in results)}
-        _finish("validate", cfg, cfg.get("output", output), cfg.get("format", "csv"),
-                "validate_v1", ["module", "check", "passed", "detail", "tolerance"],
-                rows, derived, t0)
+        _finish("validate", cfg, output, "validate_v1",
+                ["module", "check", "passed", "detail", "tolerance"], rows, derived, t0)
         for r in results:
             mark = "PASS" if r.passed else "FAIL"
             click.echo(f"[{mark}] {r.module}.{r.name}: {r.detail} ({r.tolerance})")

@@ -17,6 +17,7 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -38,7 +39,7 @@ from .heat_kernel import (
     radial_convolve,
     radial_law,
 )
-from .padic import PAdicScalar, uniform_sphere
+from .padic import Ball, PAdicScalar, uniform_sphere
 from .primes import prime_at, prime_index
 from .rng import RngStream
 from .sampler import (
@@ -56,10 +57,13 @@ from .schwartz import (
     SimplePotential,
     adelic_vladimirov_apply,
     eval_sb,
+    require_resolved,
     resolution_for,
 )
 
 DEFAULT_CHUNK = 4096
+# p-adic digits kept in endpoint increments and bridge points.
+PRECISION = 24
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,6 @@ class FKRequest:
     bridge_steps: int = 128
     chunk_size: int = DEFAULT_CHUNK
     workers: int = 1
-    precision: int = 24
 
     def __post_init__(self):
         if not self.t > 0:
@@ -90,6 +93,8 @@ class FKRequest:
             raise ConfigError("chunk_size must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+        if self.bridge_steps < 2:
+            raise ConfigError("bridge_steps must be at least 2")
         if self.truncation < max(
             self.x.max_active_index(),
             self.y.max_active_index() if self.y is not None else 0,
@@ -108,53 +113,37 @@ class FKEstimate:
     density_factor: float | None = None
     bridge_factor: float | None = None
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 # -- action integrals --------------------------------------------------------
 
 
 def action_integral(path: EventPath | PathSkeleton, v: SimplePotential,
-                    t: float, weights: str = "left") -> float:
+                    t: float) -> float:
     """Time integral of the potential component along a single-prime path.
 
     Event paths give the exact integral whenever the potential is constant
-    at the path resolution.  Skeletons integrate the cadlag interpolant:
-    'left' weights are the plain piecewise-constant sum, 'trapezoid'
-    averages endpoint values, which is invariant under time reversal.
+    at the path resolution.  Skeletons integrate the cadlag interpolant by
+    the trapezoid rule, which is invariant under time reversal.
     """
+    comp = v.component(path.params.p)
+    if comp is None:
+        return 0.0
+    tau, f = comp
+    total = 0.0
     if isinstance(path, EventPath):
-        p = path.params.p
-        comp = v.component(p)
-        if comp is None:
-            return 0.0
-        tau, f = comp
         if path.resolution > f.min_radius_exp():
             raise ResolutionError(
                 "event path coarser than the potential constancy scale"
             )
-        total = 0.0
         for duration, pos in path.segments(min(t, path.horizon)):
             total += duration * eval_sb(f, pos).real
         return tau * total
-    p = path.params.p
-    comp = v.component(p)
-    if comp is None:
-        return 0.0
-    tau, f = comp
     times = path.times
     vals = [eval_sb(f, pos).real for pos in path.values]
-    total = 0.0
     for k in range(len(times) - 1):
         dt = min(times[k + 1], t) - min(times[k], t)
-        if dt <= 0:
-            continue
-        if weights == "trapezoid":
+        if dt > 0:
             total += dt * 0.5 * (vals[k] + vals[k + 1])
-        else:
-            total += dt * vals[k]
     return tau * total
 
 
@@ -189,18 +178,10 @@ class FreePropagation:
         return min(r * self.tail_lo_mult, r), max(r * self.tail_lo_mult, r)
 
 
-def _require_resolved(f: SBFunction, xc: PAdicScalar | None) -> None:
-    """An unresolved component (somewhere in Z_p) settles only a vacuum factor."""
-    if xc is None and not f.is_vacuum():
-        raise PrecisionError(
-            "free propagation of a non-vacuum factor needs a resolved point"
-        )
-
-
 def _factor_convolution(params: KernelParams, t: float, f: SBFunction,
                         xc: PAdicScalar | None) -> complex:
     """(kernel_t * f)(xc); unresolved xc (in Z_p) is exact for vacuum f."""
-    _require_resolved(f, xc)
+    require_resolved(f, xc)
     if xc is None:
         return complex(ball_kernel_mass(params, t, None, 0))
     out = 0j
@@ -233,6 +214,19 @@ def free_propagate(sigma: SigmaSequence, b: float, t: float,
     return FreePropagation(value, math.exp(-t * sigma.sigma_tail_upper(N)), N)
 
 
+def adelic_ball_probability(sigma: SigmaSequence, b: float, t: float,
+                            balls: dict[int, Ball], N: int) -> tuple[float, float]:
+    """P(X_t component-wise in the given balls, Z_p implicitly elsewhere).
+
+    The free propagation from 0 of the product of the ball indicators:
+    exact ball masses for primes 1..N, and the inactive tail contributes
+    the bracket [e^{-t sum_{i>N} sigma_i}, 1].
+    """
+    alpha = SimpleAdelicSB.of({p: SBFunction.indicator(ball) for p, ball in balls.items()})
+    x = AdelicPoint.resolved_zeros(N)
+    return free_propagate(sigma, b, t, alpha, x, N).interval()
+
+
 # -- chunked deterministic Monte Carlo engine --------------------------------
 
 
@@ -254,7 +248,7 @@ def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
         params = req.sigma.kernel_params(i, req.b)
         start = req.x.component(p)
         alpha_f = req.alpha.factor(p)
-        _require_resolved(alpha_f, start)
+        require_resolved(alpha_f, start)
         if start is None:
             start = PAdicScalar.zero(p)
         v_term = req.v.component(p)
@@ -321,7 +315,7 @@ def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.nda
     for plan in plans:
         gen = stream.child(chunk_idx, plan.slot).generator()
         if plan.v_term is None:
-            vals = _endpoint_factor(plan, gen, count, req.precision)
+            vals = _endpoint_factor(plan, gen, count, PRECISION)
         else:
             acts, vals = _event_factor(plan, req.v, req.t, gen, count)
             actions += acts
@@ -332,15 +326,11 @@ def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.nda
 
 
 def _fk_chunk_entry(args):
-    kind, req, plans, chunk_idx, count = args
-    if kind == "exact":
-        return chunk_idx, _fk_exact_chunk(req, plans, chunk_idx, count)
-    if kind == "kernel":
-        return chunk_idx, _kernel_chunk(req, plans, chunk_idx, count)
-    raise ConfigError(f"unknown chunk kind {kind}")
+    chunk_fn, req, plans, chunk_idx, count = args
+    return chunk_idx, chunk_fn(req, plans, chunk_idx, count)
 
 
-def _run_chunks(kind: str, req: FKRequest, plans) -> np.ndarray:
+def _run_chunks(chunk_fn, req: FKRequest, plans) -> np.ndarray:
     sizes = []
     remaining = req.n_paths
     idx = 0
@@ -349,12 +339,14 @@ def _run_chunks(kind: str, req: FKRequest, plans) -> np.ndarray:
         sizes.append((idx, m))
         remaining -= m
         idx += 1
-    tasks = [(kind, req, plans, i, m) for i, m in sizes]
+    tasks = [(chunk_fn, req, plans, i, m) for i, m in sizes]
     if req.workers > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=req.workers) as pool:
                 results = dict(pool.map(_fk_chunk_entry, tasks))
-        except (OSError, PermissionError):
+        except OSError as exc:
+            warnings.warn(f"process pool unavailable ({exc!r}); running chunks serially",
+                          RuntimeWarning, stacklevel=2)
             results = dict(map(_fk_chunk_entry, tasks))
     else:
         results = dict(map(_fk_chunk_entry, tasks))
@@ -387,7 +379,7 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance.
     """
     plans = _compile_plans(req)
-    data = _run_chunks("exact", req, plans)
+    data = _run_chunks(_fk_exact_chunk, req, plans)
     w_mean, w_se = _mean_se(data[:, 0])
     p_mean, p_se = _mean_se(data[:, 1])
     _, d_se = _mean_se(data[:, 1] - data[:, 0])
@@ -408,7 +400,6 @@ class _BridgePlan:
     params: KernelParams
     x: PAdicScalar
     y: PAdicScalar
-    v_term: tuple[float, SBFunction]
     salt: int = 0
 
 
@@ -420,12 +411,9 @@ def _kernel_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarr
     for col, plan in enumerate(plans):
         gen = stream.child(plan.salt, chunk_idx, plan.slot).generator()
         spec = BridgeSpec(plan.params, req.t, plan.x, plan.y)
-        tau, f = plan.v_term
-        pot = SimplePotential(((plan.params.p, tau, f),))
         for j in range(count):
-            sk = sample_bridge(plan.params, spec, epochs, gen, req.precision)
-            a = action_integral(sk, pot, req.t, weights="trapezoid")
-            out[j, col] = math.exp(-a)
+            sk = sample_bridge(plan.params, spec, epochs, gen, PRECISION)
+            out[j, col] = math.exp(-action_integral(sk, req.v, req.t))
     return out
 
 
@@ -454,16 +442,15 @@ def _kernel_density_factor(req: FKRequest) -> float:
     return total
 
 
-def _bridge_plans(req: FKRequest, salt: int) -> tuple[_BridgePlan, ...]:
+def _bridge_plans(req: FKRequest) -> tuple[_BridgePlan, ...]:
     if req.y is None:
         raise ConfigError("kernel estimation needs an endpoint y")
     plans = []
-    for slot, (p, tau, f) in enumerate(req.v.components):
-        i = prime_index(p)
-        params = req.sigma.kernel_params(i, req.b)
+    for slot, p in enumerate(req.v.component_primes()):
+        params = req.sigma.kernel_params(prime_index(p), req.b)
         xc = req.x.component(p) or PAdicScalar.zero(p)
         yc = req.y.component(p) or PAdicScalar.zero(p)
-        plans.append(_BridgePlan(slot, params, xc, yc, (tau, f), salt))
+        plans.append(_BridgePlan(slot, params, xc, yc))
     return tuple(plans)
 
 
@@ -475,14 +462,14 @@ def fk_kernel(req: FKRequest) -> FKEstimate:
     makes the estimator's law invariant under swapping x and y.
     """
     dens = _kernel_density_factor(req)
-    plans = _bridge_plans(req, salt=0)
+    plans = _bridge_plans(req)
     if not plans:
         return FKEstimate(
             complex(dens), 0.0, req.n_paths,
             tail_certificate(req.sigma, req.b, req.t, req.truncation),
             density_factor=dens, bridge_factor=1.0,
         )
-    data = _run_chunks("kernel", req, plans)
+    data = _run_chunks(_kernel_chunk, req, plans)
     per_path = np.prod(data, axis=1)
     mean, se = _mean_se(per_path.astype(complex))
     return FKEstimate(
@@ -506,9 +493,8 @@ def fk_kernel_product(req: FKRequest) -> tuple[FKEstimate, tuple]:
     factors = []
     total = dens
     rel_var = 0.0
-    for salt, plan in enumerate(_bridge_plans(req, salt=0), start=1):
-        sub = replace(req, v=SimplePotential(((plan.params.p, *plan.v_term),)))
-        data = _run_chunks("kernel", sub, (replace(plan, salt=salt, slot=0),))
+    for salt, plan in enumerate(_bridge_plans(req), start=1):
+        data = _run_chunks(_kernel_chunk, req, (replace(plan, salt=salt, slot=0),))
         mean, se = _mean_se(data[:, 0].astype(complex))
         factors.append((plan.params.p, mean.real, se))
         total *= mean.real
@@ -595,7 +581,8 @@ def semigroup_check_mc(sigma: SigmaSequence, b: float, s: float, t: float,
                 action += action_integral(path, v, s)
                 endpoint[plan.params.p] = path.end_position()
             else:
-                endpoint[plan.params.p] = plan.start + sample_increment(plan.params, s, gen, 24)
+                inc = sample_increment(plan.params, s, gen, PRECISION)
+                endpoint[plan.params.p] = plan.start + inc
         inner = fk_expectation(FKRequest(
             sigma, b, t, AdelicPoint.of(endpoint), alpha, v, n_in, N,
             seed=seed * 1_000_003 + j + 1,

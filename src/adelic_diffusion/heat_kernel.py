@@ -44,17 +44,8 @@ class KernelParams:
             raise ValueError("diffusion constant sigma must be positive")
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    rel_tol: float = 1e-14
-    max_terms: int = 4096
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol < 1:
-            raise ValueError("rel_tol must be in (0, 1)")
-
-
-DEFAULT_POLICY = SeriesPolicy()
+SERIES_REL_TOL = 1e-14
+SERIES_MAX_TERMS = 4096
 
 
 def _pow(p: int, x: float) -> float:
@@ -81,8 +72,8 @@ def alpha(params: KernelParams) -> float:
     return 1.0 - (_pow(p, b) - 1.0) / (_pow(p, b + 1.0) - 1.0)
 
 
-def _series_down(params: KernelParams, t: float, r_start: int, weight_exp_shift: float,
-                 policy: SeriesPolicy) -> float:
+def _series_down(params: KernelParams, t: float, r_start: int,
+                 weight_exp_shift: float) -> float:
     """sum_{r <= r_start} p^{r + shift} (E(r) - E(r+1)) with rigorous tail cut."""
     p, b, sigma = params.p, params.b, params.sigma
     ratio = _pow(p, -(b + 1.0))
@@ -90,16 +81,16 @@ def _series_down(params: KernelParams, t: float, r_start: int, weight_exp_shift:
     total = 0.0
     e_next = _decay(params, t, r_start + 1)
     r = r_start
-    for _ in range(policy.max_terms):
+    for _ in range(SERIES_MAX_TERMS):
         e_cur = _decay(params, t, r)
         total += (e_cur - e_next) * _pow(p, r + weight_exp_shift)
         tail = tail_coeff * _pow(p, (r - 1) * (b + 1.0) + weight_exp_shift)
-        if tail <= max(policy.rel_tol * total, _TINY):
+        if tail <= max(SERIES_REL_TOL * total, _TINY):
             return total
         e_next = e_cur
         r -= 1
     raise TruncationError(
-        f"radial series did not converge within {policy.max_terms} terms"
+        f"radial series did not converge within {SERIES_MAX_TERMS} terms"
     )
 
 
@@ -112,38 +103,33 @@ def _r_all_terms(params: KernelParams, t: float) -> int:
 
 
 @lru_cache(maxsize=1 << 18)
-def _density_cached(params: KernelParams, t: float, m: int,
-                    policy: SeriesPolicy) -> float:
+def _density_cached(params: KernelParams, t: float, m: int) -> float:
     r_start = min(-m, _r_all_terms(params, t))
-    return _series_down(params, t, r_start, 0.0, policy)
+    return _series_down(params, t, r_start, 0.0)
 
 
-def density(params: KernelParams, t: float, m: int,
-            policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def density(params: KernelParams, t: float, m: int) -> float:
     """Kernel value on the sphere {|x| = p^m} at time t (radial density)."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return _density_cached(params, t, m, policy)
+    return _density_cached(params, t, m)
 
 
-def density_center(params: KernelParams, t: float,
-                   policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def density_center(params: KernelParams, t: float) -> float:
     """Kernel value at the origin, the supremum of the density."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return _series_down(params, t, _r_all_terms(params, t), 0.0, policy)
+    return _series_down(params, t, _r_all_terms(params, t), 0.0)
 
 
 @lru_cache(maxsize=1 << 18)
-def _ball_mass_cached(params: KernelParams, t: float, nu: int,
-                      policy: SeriesPolicy) -> float:
+def _ball_mass_cached(params: KernelParams, t: float, nu: int) -> float:
     head = _decay(params, t, -nu)
     r_start = min(-nu - 1, _r_all_terms(params, t))
-    return head + _series_down(params, t, r_start, float(nu), policy)
+    return head + _series_down(params, t, r_start, float(nu))
 
 
-def ball_mass(params: KernelParams, t: float, nu: int,
-              policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def ball_mass(params: KernelParams, t: float, nu: int) -> float:
     """Mass of the ball {|x| <= p^nu} under the time-t kernel.
 
     Equals e^{-sigma t p^{-nu b}} plus the deeper-shell series; always at
@@ -151,18 +137,17 @@ def ball_mass(params: KernelParams, t: float, nu: int,
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    return _ball_mass_cached(params, t, nu, policy)
+    return _ball_mass_cached(params, t, nu)
 
 
-def sphere_mass(params: KernelParams, t: float, m: int,
-                policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def sphere_mass(params: KernelParams, t: float, m: int) -> float:
     """Mass of the sphere {|x| = p^m}: density(t, m) * p^m (1 - 1/p)."""
     mu = _pow(params.p, m) * (1.0 - 1.0 / params.p)
-    return density(params, t, m, policy) * mu
+    return density(params, t, m) * mu
 
 
 def ball_kernel_mass(params: KernelParams, t: float, center_exp: int | None,
-                     r: int, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+                     r: int) -> float:
     """Mass the time-t kernel started at 0 assigns to a ball B_r(c).
 
     center_exp is the exponent of |c| (None for c = 0).  For |c| <= p^r the
@@ -170,8 +155,8 @@ def ball_kernel_mass(params: KernelParams, t: float, center_exp: int | None,
     the sphere of radius |c|, where the density is constant.
     """
     if center_exp is None or center_exp <= r:
-        return ball_mass(params, t, r, policy)
-    return density(params, t, center_exp, policy) * _pow(params.p, r)
+        return ball_mass(params, t, r)
+    return density(params, t, center_exp) * _pow(params.p, r)
 
 
 def exit_prob(params: KernelParams, T: float, r: int) -> float:
@@ -256,7 +241,6 @@ class RadialLaw:
 
 
 def radial_law(params: KernelParams, t: float,
-               policy: SeriesPolicy = DEFAULT_POLICY,
                coverage: float = 1.0 - 1e-12) -> RadialLaw:
     """Sphere-mass window covering at least `coverage` of the time-t kernel."""
     if not t > 0:
@@ -266,20 +250,20 @@ def radial_law(params: KernelParams, t: float,
 
     rate = params.sigma * alpha(params) * t
     m = max(0, int(math.ceil(math.log(max(rate / max(eps, _TINY), 1.0)) / (b * math.log(p)))))
-    for _ in range(policy.max_terms):
-        if 1.0 - ball_mass(params, t, m, policy) <= eps:
+    for _ in range(SERIES_MAX_TERMS):
+        if 1.0 - ball_mass(params, t, m) <= eps:
             break
         m += 1
     else:
         raise TruncationError("could not find upper truncation radius")
-    while m > -VALUATION_GUARD and 1.0 - ball_mass(params, t, m - 1, policy) <= eps:
+    while m > -VALUATION_GUARD and 1.0 - ball_mass(params, t, m - 1) <= eps:
         m -= 1
     m_hi = m
 
     target = math.log(1.0 / max(eps, _TINY)) / (params.sigma * t)
     m = min(m_hi, -int(math.floor(math.log(max(target, 1e-300)) / (b * math.log(p)))))
-    for _ in range(policy.max_terms):
-        if ball_mass(params, t, m - 1, policy) <= eps:
+    for _ in range(SERIES_MAX_TERMS):
+        if ball_mass(params, t, m - 1) <= eps:
             break
         m -= 1
         if m < -VALUATION_GUARD:
@@ -288,21 +272,19 @@ def radial_law(params: KernelParams, t: float,
             )
     else:
         raise TruncationError("could not find lower truncation radius")
-    while m + 1 <= m_hi and ball_mass(params, t, m, policy) <= eps:
+    while m + 1 <= m_hi and ball_mass(params, t, m) <= eps:
         m += 1
     m_lo = m
 
-    masses = tuple(sphere_mass(params, t, j, policy) for j in range(m_lo, m_hi + 1))
-    bottom = ball_mass(params, t, m_lo - 1, policy)
-    top = max(1.0 - ball_mass(params, t, m_hi, policy), 0.0)
+    masses = tuple(sphere_mass(params, t, j) for j in range(m_lo, m_hi + 1))
+    bottom = ball_mass(params, t, m_lo - 1)
+    top = max(1.0 - ball_mass(params, t, m_hi), 0.0)
     return RadialLaw(params.p, m_lo, m_hi, masses, bottom, top)
 
 
 @lru_cache(maxsize=512)
-def cached_radial_law(params: KernelParams, t: float,
-                      policy: SeriesPolicy = DEFAULT_POLICY,
-                      coverage: float = 1.0 - 1e-12) -> RadialLaw:
-    return radial_law(params, t, policy, coverage)
+def cached_radial_law(params: KernelParams, t: float) -> RadialLaw:
+    return radial_law(params, t)
 
 
 def radial_convolve(u: RadialLaw, v: RadialLaw) -> RadialLaw:

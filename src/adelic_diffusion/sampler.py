@@ -22,7 +22,6 @@ import numpy as np
 from .errors import BridgeUnderflowError, ResolutionError, TruncationError
 from .heat_kernel import (
     KernelParams,
-    ball_mass,
     cached_radial_law,
     density,
     density_center,
@@ -33,6 +32,8 @@ from .rng import as_generator
 
 # Largest expected event count rate * T an event path may be asked for.
 MAX_EXPECTED_EVENTS = 10**7
+# Digits drawn beyond an event jump's overshoot level.
+EVENT_DIGIT_MARGIN = 12
 # Equal-sphere rejection accepts with probability >= (p - 2)/(p - 1) >= 1/2,
 # so this many straight rejections has probability <= 2**-64.
 MAX_EQUAL_SPHERE_TRIES = 64
@@ -156,7 +157,7 @@ def sample_overshoot(params: KernelParams, gen: np.random.Generator) -> int:
 
 
 def sample_event_path(params: KernelParams, start: PAdicScalar, T: float,
-                      r_min: int, rng, digit_margin: int = 12) -> EventPath:
+                      r_min: int, rng) -> EventPath:
     """Simulate first-exit events from balls of radius p^r_min up to time T."""
     if not T > 0:
         raise ValueError("horizon T must be positive")
@@ -172,7 +173,7 @@ def sample_event_path(params: KernelParams, start: PAdicScalar, T: float,
         if t > T:
             break
         k = sample_overshoot(params, gen)
-        jump = uniform_sphere(gen, params.p, r_min + k, precision=k + digit_margin)
+        jump = uniform_sphere(gen, params.p, r_min + k, precision=k + EVENT_DIGIT_MARGIN)
         pos = pos + jump
         events.append((t, pos))
     return EventPath(params, r_min, start, tuple(events), T)
@@ -311,27 +312,8 @@ def sample_bridge(params: KernelParams, spec: BridgeSpec, epochs, rng,
 
 def bridge_class_total(params: KernelParams, tau0: float, tau1: float,
                        delta: int | None) -> float:
-    """Total conditional class mass; equals density(tau0+tau1, delta) by
-    Chapman-Kolmogorov, which makes it a useful internal consistency probe."""
-    p = params.p
-    law0 = increment_law(params, tau0)
-    law1 = increment_law(params, tau1)
-    total = 0.0
-    if delta is None:
-        lo, hi = min(law0.m_lo, law1.m_lo), max(law0.m_hi, law1.m_hi)
-        for j in range(lo, hi + 1):
-            mu = (p ** float(j)) * (1.0 - 1.0 / p)
-            if law0.mass(j) > 0.0 and law1.mass(j) > 0.0:
-                total += law0.mass(j) * law1.mass(j) / mu
-        return total
-    d0 = density(params, tau0, delta)
-    d1 = density(params, tau1, delta)
-    total += ball_mass(params, tau0, delta - 1) * d1
-    total += ball_mass(params, tau1, delta - 1) * d0
-    if p > 2:
-        total += d0 * d1 * (p ** float(delta)) * (1.0 - 2.0 / p)
-    hi = max(law0.m_hi, law1.m_hi)
-    for j in range(delta + 1, hi + 1):
-        mu = (p ** float(j)) * (1.0 - 1.0 / p)
-        total += density(params, tau0, j) * density(params, tau1, j) * mu
-    return total
+    """Total mass of the midpoint class table `_bridge_point` draws from;
+    equals density(tau0+tau1, delta) by Chapman-Kolmogorov, up to the mass
+    below the increment laws' windows."""
+    _, cum = _bridge_classes(params, tau0, tau1, delta)
+    return float(cum[-1])

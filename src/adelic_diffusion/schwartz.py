@@ -95,6 +95,12 @@ def eval_sb(f: SBFunction, x: PAdicScalar) -> complex:
     return sum((c for ball, c in f.terms if ball.contains(x)), 0j)
 
 
+def require_resolved(f: SBFunction, xc: PAdicScalar | None) -> None:
+    """An unresolved component (somewhere in Z_p) settles only a vacuum factor."""
+    if xc is None and not f.is_vacuum():
+        raise PrecisionError(f"non-vacuum factor at prime {f.prime} needs a resolved point")
+
+
 def resolution_for(*functions: SBFunction) -> int:
     """Coarsest ball exponent at which every given function is constant.
 
@@ -284,13 +290,9 @@ class SimpleAdelicSB:
         for p in sorted(primes):
             f = self.factor(p)
             xc = x.component(p)
-            if xc is None:
-                if f.is_vacuum():
-                    continue  # factor equals 1 anywhere on Z_p
-                raise PrecisionError(
-                    f"non-vacuum factor at prime {p} needs a resolved component"
-                )
-            out *= eval_sb(f, xc)
+            require_resolved(f, xc)
+            if xc is not None:
+                out *= eval_sb(f, xc)
         return out
 
 
@@ -380,9 +382,8 @@ def adelic_vladimirov_apply(sigma: SigmaSequence, b: float, f: SimpleAdelicSB,
     """
     if sigma.tail_coeff == 0 and sigma.n_defined() < N:
         raise SummabilityError("sigma sequence does not cover truncation N")
-    for p in f.factor_primes():
-        if not f.factor(p).is_vacuum() and a.component(p) is None:
-            raise PrecisionError(f"non-vacuum factor at {p} needs a resolved point")
+    for p, fp in f.factors:
+        require_resolved(fp, a.component(p))
     if f.factors and max(prime_index(p) for p, _ in f.factors) > N:
         raise ConfigError("non-vacuum factors must sit within the truncation")
 

@@ -325,6 +325,13 @@ class TestWorkerCount:
         assert res.exit_code == 2
         assert "workers must be positive" in res.output
 
+    def test_one_bridge_step_is_config_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bridge_steps": 1}))
+        res = self.fk(runner, tmp_path, ["--config", str(cfg)])
+        assert res.exit_code == 2
+        assert "bridge_steps must be at least 2" in res.output
+
 
 class TestManifestReproducibility:
     def test_rerun_from_manifest_bit_identical(self, runner, tmp_path):
@@ -338,6 +345,22 @@ class TestManifestReproducibility:
                                     "-o", str(out2)])
         assert res2.exit_code == 0, res2.output
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_output_flag_wins_over_config_output(self, runner, tmp_path):
+        a, b, c = (tmp_path / f"{name}.csv" for name in "abc")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prime": 3, "output": str(a)}))
+        res = runner.invoke(main, ["density", "--config", str(cfg), "-o", str(b)])
+        assert res.exit_code == 0, res.output
+        assert b.exists() and not a.exists()
+        res = runner.invoke(main, ["density", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        original = a.read_bytes()
+        res = runner.invoke(main, ["density", "--config", str(a) + ".manifest.json",
+                                   "--t", "2", "-o", str(c)])
+        assert res.exit_code == 0, res.output
+        assert a.read_bytes() == original
+        assert c.read_bytes() != original
 
     def test_json_lines_format(self, runner, tmp_path):
         out = tmp_path / "d.jsonl"

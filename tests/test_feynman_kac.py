@@ -1,6 +1,7 @@
 """Feynman-Kac estimators: action integrals, expectations, kernels, checks."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from adelic_diffusion import (
     SimpleAdelicSB,
     SimplePotential,
     action_integral,
+    adelic_vladimirov_apply,
     ball_mass,
     density,
     density_center,
@@ -181,6 +183,41 @@ class TestFkExpectation:
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 10, 2, seed=1, workers=0)
+
+    def test_bridge_steps_below_two_rejected(self):
+        # one step leaves no interior epoch: a deterministic trapezoid with SE 0
+        with pytest.raises(ConfigError, match="bridge_steps"):
+            FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 10, 2, seed=1, bridge_steps=1)
+
+    def test_pool_failure_warns_and_matches_serial(self, monkeypatch):
+        from adelic_diffusion import feynman_kac
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, VPOT, 2000, 2, seed=722,
+                        chunk_size=500)
+        serial = fk_expectation(req)
+        monkeypatch.setattr(feynman_kac, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match="no process pool here"):
+            pooled = fk_expectation(replace(req, workers=2))
+        assert pooled.value == serial.value
+        assert pooled.std_error == serial.std_error
+
+    def test_unresolved_non_vacuum_factor_is_one_rule(self):
+        ball = Ball(PAdicScalar.from_int(1, 3), -1)
+        alpha_f = SimpleAdelicSB.of({3: SBFunction.indicator(ball, 1.0)})
+        x = AdelicPoint.zero()
+        calls = (
+            lambda: alpha_f.eval(x),
+            lambda: free_propagate(SIG, B, 1.0, alpha_f, x, 4),
+            lambda: fk_expectation(FKRequest(SIG, B, 1.0, x, alpha_f, V0, 10, 4, seed=723)),
+            lambda: adelic_vladimirov_apply(SIG, B, alpha_f, x, 4),
+        )
+        for call in calls:
+            with pytest.raises(PrecisionError,
+                               match="non-vacuum factor at prime 3 needs a resolved point"):
+                call()
 
 
 class TestKernels:

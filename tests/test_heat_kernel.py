@@ -7,7 +7,6 @@ import pytest
 
 from adelic_diffusion import (
     KernelParams,
-    SeriesPolicy,
     TruncationError,
     alpha,
     ball_kernel_mass,
@@ -21,6 +20,7 @@ from adelic_diffusion import (
     radial_law,
     sphere_mass,
 )
+from adelic_diffusion import heat_kernel
 from conftest import ball_mass_oracle, density_fourier_oracle, sphere_mass_oracle
 
 KP = KernelParams(2, 1.0, 1.0)
@@ -72,9 +72,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(KP, 0.0, 0)
 
-    def test_truncation_guard(self):
+    def test_truncation_guard(self, monkeypatch):
+        monkeypatch.setattr(heat_kernel, "SERIES_MAX_TERMS", 2)
+        heat_kernel._density_cached.cache_clear()
         with pytest.raises(TruncationError):
-            density(KP, 1.0, 0, SeriesPolicy(rel_tol=1e-14, max_terms=2))
+            density(KP, 1.0, 0)
 
 
 class TestBallMass:

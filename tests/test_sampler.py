@@ -220,12 +220,13 @@ class TestCrossSampler:
 
 class TestBridge:
     def test_class_total_equals_chapman_kolmogorov(self):
-        for delta in (None, 0, 1, 2, -3):
-            total = bridge_class_total(KP, 0.4, 0.6, delta)
-            direct = (
-                density(KP, 1.0, delta) if delta is not None else density_center(KP, 1.0)
-            )
-            assert total == pytest.approx(direct, rel=1e-10)
+        for kp in (KP, KernelParams(3, 0.5, 0.7)):
+            for delta in (None, 0, 1, 2, -3):
+                total = bridge_class_total(kp, 0.4, 0.6, delta)
+                direct = (
+                    density(kp, 1.0, delta) if delta is not None else density_center(kp, 1.0)
+                )
+                assert total == pytest.approx(direct, rel=1e-10)
 
     def test_endpoints_pinned(self):
         y = PAdicScalar.from_int(3, 2, 24)
