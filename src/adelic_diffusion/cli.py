@@ -157,7 +157,8 @@ def _write_manifest(out_path: Path, command: str, cfg: RunConfig, derived: dict,
         "schema_id": "manifest_v1",
         "command": command,
         "artifact_version": __version__,
-        "config": dict(cfg),
+        # a config's "output" is not echoed: a re-run must not write over it
+        "config": {k: v for k, v in cfg.items() if k != "output"},
         "derived": derived,
         "tolerances": TOLERANCES,
         "seed_scheme": SEED_SCHEME,

@@ -4,8 +4,9 @@ The semigroup acts on an observable by pi_t f(x) = E_x[e^{-int_0^t v} f(X_t)].
 Estimates run over adelic bundles truncated at N primes:
 
 * exact mode: potentials and observables locally constant at known scales,
-  so event-driven paths make the action integral exact and endpoint-only
-  primes reduce to one radial increment (no time discretization anywhere);
+  so event-driven paths make the action integral exact, endpoint-only
+  primes reduce to one radial increment, and vacuum, potential-free primes
+  to their exact free factor (no time discretization anywhere);
 * kernel mode: bridge Monte Carlo times the analytic endpoint density, with
   the action evaluated by a time-symmetric trapezoid over the bridge
   skeleton so that kernel estimates are exactly reversal-symmetric in law.
@@ -238,7 +239,11 @@ class _PrimePlan:
     alpha_f: SBFunction
     v_term: tuple[float, SBFunction] | None
     r_min: int
-    law: RadialLaw | None  # increment law at the request's t; None under a potential
+    law: RadialLaw | None  # increment law at t; None where nothing is sampled from it
+
+    @property
+    def folds(self) -> bool:  # no potential, vacuum factor: an exact mean
+        return self.v_term is None and self.alpha_f.is_vacuum()
 
 
 def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
@@ -253,9 +258,9 @@ def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
             start = PAdicScalar.zero(p)
         v_term = req.v.component(p)
         fns = (alpha_f, v_term[1]) if v_term is not None else (alpha_f,)
-        law = increment_law(params, req.t) if v_term is None else None
-        plans.append(_PrimePlan(i - 1, params, start, alpha_f, v_term,
-                                resolution_for(*fns), law))
+        plan = _PrimePlan(i - 1, params, start, alpha_f, v_term, resolution_for(*fns), None)
+        plans.append(plan if v_term is not None or plan.folds
+                     else replace(plan, law=increment_law(params, req.t)))
     return tuple(plans)
 
 
@@ -363,11 +368,12 @@ def _mean_se(values: np.ndarray) -> tuple[complex, float]:
 
 
 def fk_expectation(req: FKRequest) -> FKEstimate:
-    """Unbiased Monte Carlo estimate of (pi_t alpha)(x) truncated at N primes.
+    """Unbiased estimate of (pi_t alpha)(x) truncated at N primes.
 
-    Primes without a potential term contribute one radial increment; primes
-    with one run event paths at the constancy scale, so the action integral
-    carries no discretization error.
+    Vacuum, potential-free primes contribute their exact free factor (as in
+    free_propagate; with nothing else the estimate is exact, SE 0); other
+    primes without a potential term one radial increment; primes with one
+    event paths at the constancy scale, so the action integral is exact.
     """
     return fk_expectation_pair(req)[0]
 
@@ -376,18 +382,33 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     """(damped estimate, free estimate, se of the damping correction).
 
     Both estimates share paths, so their difference estimates
-    E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance.
+    E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance.  The path
+    measure is a product over primes, so the folded primes' exact factor
+    scales the mean and SEs of the sampled ones, which keep their streams.
     """
     plans = _compile_plans(req)
-    data = _run_chunks(_fk_exact_chunk, req, plans)
+    cert = tail_certificate(req.sigma, req.b, req.t, req.truncation)
+    folded, sampled = 1.0, []  # vacuum factors convolve to reals
+    for plan in plans:
+        if plan.folds:
+            xc = req.x.component(plan.params.p)
+            folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
+        else:
+            sampled.append(plan)
+    if not sampled:
+        exact = FKEstimate(complex(folded), 0.0, req.n_paths, cert)
+        return exact, exact, 0.0
+    data = _run_chunks(_fk_exact_chunk, req, tuple(sampled))
     w_mean, w_se = _mean_se(data[:, 0])
     p_mean, p_se = _mean_se(data[:, 1])
     _, d_se = _mean_se(data[:, 1] - data[:, 0])
-    cert = tail_certificate(req.sigma, req.b, req.t, req.truncation)
+    # componentwise, so a factor of exactly 1 keeps every bit (signed zeros too)
+    w_mean, p_mean = (complex(m.real * folded, m.imag * folded) for m in (w_mean, p_mean))
+    scale = abs(folded)
     return (
-        FKEstimate(w_mean, w_se, req.n_paths, cert),
-        FKEstimate(p_mean, p_se, req.n_paths, cert),
-        d_se,
+        FKEstimate(w_mean, w_se * scale, req.n_paths, cert),
+        FKEstimate(p_mean, p_se * scale, req.n_paths, cert),
+        d_se * scale,
     )
 
 
@@ -546,11 +567,7 @@ def semigroup_compose_free(sigma: SigmaSequence, b: float, s: float, t: float,
         xc = x.component(p)
         factor = 0.0
         for ball, coeff in f.terms:
-            if xc is None:
-                d_exp = None
-            else:
-                d = xc - ball.center
-                d_exp = d.abs_exp()
+            d_exp = None if xc is None else (xc - ball.center).abs_exp()
             factor += coeff.real * law.ball_probability(d_exp, ball.radius_exp)
         composed *= factor
     return SemigroupReport(s, t, direct, composed, 0.0)
@@ -614,9 +631,7 @@ def generator_check(sigma: SigmaSequence, b: float, alpha: SimpleAdelicSB,
     quantities are truncated at N primes consistently, so the observed
     convergence order is 1 for the truncated system.
     """
-    op_center, _ = adelic_vladimirov_apply(
-        sigma, b, alpha, x, N
-    )
+    op_center, _ = adelic_vladimirov_apply(sigma, b, alpha, x, N)
     # strictly truncate: remove the within-table tail beyond N
     from .schwartz import multiplier_constant
 

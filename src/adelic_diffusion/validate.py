@@ -402,7 +402,7 @@ def check_fk_free_reduction(fast: bool) -> CheckResult:
     fp = free_propagate(sigma, 1.0, 1.0, SimpleAdelicSB.vacuum(), AdelicPoint.zero(), 5)
     dev = abs(est.value.real - fp.value.real)
     return _result("feynman_kac", "free_reduction", dev <= 3 * est.std_error,
-                   f"mc {est.value.real:.5f} vs exact {fp.value.real:.5f} "
+                   f"estimate {est.value.real:.5f} vs exact {fp.value.real:.5f} "
                    f"(se {est.std_error:.5f})", "within 3 SE")
 
 
@@ -456,9 +456,11 @@ def check_fk_positivity(fast: bool) -> CheckResult:
 
 def check_fk_worker_invariance(fast: bool) -> CheckResult:
     sigma = SigmaSequence.inverse_square()
+    # a non-vacuum factor keeps prime 2 sampled; vacuum, potential-free primes fold
+    alpha = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))})
     ests = []
     for w in (1, 4, 8):
-        req = FKRequest(sigma, 1.0, 1.0, AdelicPoint.zero(), SimpleAdelicSB.vacuum(),
+        req = FKRequest(sigma, 1.0, 1.0, AdelicPoint.resolved_zeros(1), alpha,
                         SimplePotential.zero(), 12_000, 4, seed=BASE_SEED + 9,
                         workers=w, chunk_size=2048)
         ests.append(fk_expectation(req))

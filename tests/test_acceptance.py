@@ -211,10 +211,12 @@ def test_08_fk_free_reduction():
         fp = free_propagate(sig, b, t, alpha_f, x, N)
         dev = abs(est.value.real - fp.value.real)
         assert dev <= 3 * est.std_error, (k, dev, est.std_error)
-        devs.append(dev / est.std_error)
+        if est.std_error > 0:  # vacuum-only points fold into an exact value
+            devs.append(dev / est.std_error)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    report(8, f"5 test points, max dev {max(devs):.2f} SE (<3), {elapsed:.1f}s (<60s)")
+    report(8, f"5 test points ({len(points) - len(devs)} exact), "
+              f"max dev {max(devs):.2f} SE (<3), {elapsed:.1f}s (<60s)")
 
 
 SIG_P2 = SigmaSequence(explicit=(1.0,))

@@ -362,6 +362,24 @@ class TestManifestReproducibility:
         assert a.read_bytes() == original
         assert c.read_bytes() != original
 
+    def test_rerun_from_manifest_leaves_config_output_alone(self, runner, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prime": 3, "output": str(a)}))
+        res = runner.invoke(main, ["density", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        original = a.read_bytes()
+        res = runner.invoke(main, ["density", "--config", str(cfg), "--t", "2", "-o", str(b)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads(Path(str(b) + ".manifest.json").read_text())
+        assert "output" not in manifest["config"] and manifest["output"] == str(b)
+        res = runner.invoke(main, ["density", "--config", str(b) + ".manifest.json"])
+        assert res.exit_code == 0, res.output
+        assert a.read_bytes() == original
+        assert (tmp_path / "density.csv").read_bytes() == b.read_bytes()
+
     def test_json_lines_format(self, runner, tmp_path):
         out = tmp_path / "d.jsonl"
         res = runner.invoke(main, ["density", "-p", "3", "--format", "json",

@@ -35,6 +35,7 @@ from adelic_diffusion import (
     semigroup_check_mc,
     semigroup_compose_free,
 )
+from adelic_diffusion.primes import prime_at
 
 SIG = SigmaSequence.inverse_square()
 KP2 = KernelParams(2, 1.0, SIG.sigma(1))
@@ -165,15 +166,77 @@ class TestFkExpectation:
 
     def test_one_law_build_per_prime_per_request(self):
         # past the law cache's 512 entries, a per-chunk lookup would rebuild
-        # every prime's law in each of the 4 chunks
+        # every sampled prime's law in each of the 4 chunks
         from adelic_diffusion.heat_kernel import cached_radial_law
 
         n_primes = 600
+        alpha_f = SimpleAdelicSB.of({
+            prime_at(i): SBFunction.indicator(Ball(PAdicScalar.zero(prime_at(i)), -1))
+            for i in range(1, n_primes + 1)
+        })
         cached_radial_law.cache_clear()
-        req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 4 * 64, n_primes,
-                        seed=721, chunk_size=64)
+        req = FKRequest(SIG, B, 1.0, AdelicPoint.resolved_zeros(n_primes), alpha_f, V0,
+                        4 * 64, n_primes, seed=721, chunk_size=64)
         fk_expectation(req)
         assert cached_radial_law.cache_info().misses == n_primes
+        # vacuum, potential-free primes fold into an exact factor: no law at all
+        cached_radial_law.cache_clear()
+        fk_expectation(replace(req, x=AdelicPoint.zero(), alpha=OM))
+        assert cached_radial_law.cache_info().misses == 0
+
+    def test_vacuum_request_is_free_propagation(self, monkeypatch):
+        from adelic_diffusion import feynman_kac
+
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(feynman_kac, "_run_chunks", no_sampling)
+        x = AdelicPoint.of({2: PAdicScalar.from_rational(Fraction(1, 2), 2)})
+        req = FKRequest(SIG, B, 1.0, x, OM, V0, 10_000, 6, seed=724, workers=2)
+        damped, plain, corr_se = fk_expectation_pair(req)
+        fp = free_propagate(SIG, B, 1.0, OM, x, 6)
+        assert damped.value == plain.value == fp.value
+        assert damped.std_error == plain.std_error == corr_se == 0.0
+
+    def test_sampled_draws_ignore_folded_primes(self):
+        x = AdelicPoint.resolved_zeros(3)
+        alpha_f = SimpleAdelicSB.of({
+            2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1)),
+            3: SBFunction.indicator(Ball(PAdicScalar.from_int(1, 3), 0), 0.5 - 0.5j),
+            5: SBFunction.indicator(Ball(PAdicScalar.zero(5), -2)),
+        })
+        short = fk_expectation(FKRequest(SIG, B, 1.0, x, alpha_f, V0, 3000, 3, seed=725))
+        long = fk_expectation(FKRequest(SIG, B, 1.0, x, alpha_f, V0, 3000, 12, seed=725))
+        # the nine folded vacuum factors at primes 7..37
+        folded = (free_propagate(SIG, B, 1.0, OM, x, 12).value
+                  / free_propagate(SIG, B, 1.0, OM, x, 3).value).real
+        assert short.std_error > 0
+        assert long.value == pytest.approx(short.value * folded, rel=1e-14)
+        assert long.std_error == pytest.approx(short.std_error * folded, rel=1e-14)
+
+    def test_worker_invariance_while_sampling(self):
+        x = AdelicPoint.resolved_zeros(2)
+        alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))})
+        pot = SimplePotential.of({3: (0.8, SBFunction.indicator(Ball(PAdicScalar.zero(3), -1)))})
+        ests = [fk_expectation_pair(FKRequest(SIG, B, 1.0, x, alpha_f, pot, 3000, 5,
+                                              seed=726, workers=w, chunk_size=512))
+                for w in (1, 4, 8)]
+        assert ests[0][0].std_error > 0
+        assert ests[0] == ests[1] == ests[2]
+
+    def test_adelic_cli_shaped_request(self):
+        # N = 666 with an observable at 2, 3 and 5 around a resolved unit point;
+        # B_0(x_5) is Z_5, so only 2 and 3 are sampled
+        units = {2: PAdicScalar.from_int(1, 2), 3: PAdicScalar.from_int(2, 3),
+                 5: PAdicScalar.from_int(3, 5)}
+        alpha_f = SimpleAdelicSB.of({
+            p: SBFunction.indicator(Ball(u, -1 if p < 5 else 0)) for p, u in units.items()
+        })
+        x = AdelicPoint.of(units)
+        est = fk_expectation(FKRequest(SIG, B, 1.0, x, alpha_f, V0, 20_000, 666, seed=727))
+        fp = free_propagate(SIG, B, 1.0, alpha_f, x, 666)
+        assert est.std_error > 0
+        assert abs(est.value - fp.value) <= 4 * est.std_error
 
     def test_chunk_size_below_one_rejected(self):
         # a zero chunk would never advance the chunk loop
