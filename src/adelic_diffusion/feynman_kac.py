@@ -56,10 +56,10 @@ from .schwartz import (
     SBFunction,
     SimpleAdelicSB,
     SimplePotential,
-    adelic_vladimirov_apply,
     eval_sb,
     require_resolved,
     resolution_for,
+    truncated_vladimirov_apply,
 )
 
 DEFAULT_CHUNK = 4096
@@ -442,6 +442,8 @@ def _kernel_density_factor(req: FKRequest) -> float:
     """Product over primes 1..N of the endpoint density rho^i(t, x_i - y_i)."""
     if req.y is None:
         raise ConfigError("kernel estimation needs an endpoint y")
+    if any(not f.is_vacuum() for _, f in req.alpha.factors):
+        raise ConfigError("kernel estimation takes no observable")
     total = 1.0
     for i in range(1, req.truncation + 1):
         p = prime_at(i)
@@ -631,16 +633,7 @@ def generator_check(sigma: SigmaSequence, b: float, alpha: SimpleAdelicSB,
     quantities are truncated at N primes consistently, so the observed
     convergence order is 1 for the truncated system.
     """
-    op_center, _ = adelic_vladimirov_apply(sigma, b, alpha, x, N)
-    # strictly truncate: remove the within-table tail beyond N
-    from .schwartz import multiplier_constant
-
-    tail_exact = 0.0
-    full = alpha.eval(x)
-    top = sigma.n_defined()
-    for i in range(N + 1, top + 1):
-        tail_exact += sigma.sigma(i) * multiplier_constant(prime_at(i), b)
-    op_truncated = (op_center - tail_exact * full).real
+    op_truncated = truncated_vladimirov_apply(sigma, b, alpha, x, N)[0].real
     target = -op_truncated - v.value(x) * alpha.eval(x).real
 
     fds, errs, ses = [], [], []

@@ -371,15 +371,11 @@ def adelic_multiplier(sigma: SigmaSequence, b: float, a: AdelicPoint,
     return lo, hi
 
 
-def adelic_vladimirov_apply(sigma: SigmaSequence, b: float, f: SimpleAdelicSB,
-                            a: AdelicPoint, N: int) -> tuple[complex, float]:
-    """(center, radius) disk containing (D_A f)(a) for simple f.
-
-    D_A f = sum_j sigma_j (D_j f_j) (x) prod_{i != j} f_i; primes 1..N and
-    the within-table tail are exact (vacuum factors are constant on Z_p),
-    the beyond-table remainder is bracketed through the (1/2, 2) bounds on
-    the vacuum multiplier constant.
-    """
+def truncated_vladimirov_apply(sigma: SigmaSequence, b: float, f: SimpleAdelicSB,
+                               a: AdelicPoint, N: int) -> tuple[complex, complex]:
+    """(center, full): (D_A f)(a) of the system truncated at N primes, exact,
+    sum_{j <= N} sigma_j (D_j f_j)(a) prod_{i <= N, i != j} f_i(a), and the
+    product of f's factors at primes 1..N."""
     if sigma.tail_coeff == 0 and sigma.n_defined() < N:
         raise SummabilityError("sigma sequence does not cover truncation N")
     for p, fp in f.factors:
@@ -412,7 +408,19 @@ def adelic_vladimirov_apply(sigma: SigmaSequence, b: float, f: SimpleAdelicSB,
             if i != j:
                 partial *= v
         center += sigma.sigma(j + 1) * ops[j] * partial
+    return center, full
 
+
+def adelic_vladimirov_apply(sigma: SigmaSequence, b: float, f: SimpleAdelicSB,
+                            a: AdelicPoint, N: int) -> tuple[complex, float]:
+    """(center, radius) disk containing (D_A f)(a) for simple f.
+
+    D_A f = sum_j sigma_j (D_j f_j) (x) prod_{i != j} f_i; primes 1..N and
+    the within-table tail are exact (vacuum factors are constant on Z_p),
+    the beyond-table remainder is bracketed through the (1/2, 2) bounds on
+    the vacuum multiplier constant.
+    """
+    center, full = truncated_vladimirov_apply(sigma, b, f, a, N)
     # tail primes within the table: factor is vacuum, component in Z_p, so the
     # term is sigma_j C_j times the full product; exact through the table.
     top = sigma.n_defined()

@@ -396,10 +396,13 @@ def check_domain_bounds(fast: bool) -> CheckResult:
 def check_fk_free_reduction(fast: bool) -> CheckResult:
     sigma = SigmaSequence.inverse_square()
     n = 5000 if fast else 20_000
-    req = FKRequest(sigma, 1.0, 1.0, AdelicPoint.zero(), SimpleAdelicSB.vacuum(),
-                    SimplePotential.zero(), n, 5, seed=BASE_SEED + 5)
+    # a non-vacuum factor keeps prime 2 sampled; vacuum, potential-free primes fold
+    alpha = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))})
+    x = AdelicPoint.resolved_zeros(1)
+    req = FKRequest(sigma, 1.0, 1.0, x, alpha, SimplePotential.zero(), n, 5,
+                    seed=BASE_SEED + 5)
     est = fk_expectation(req)
-    fp = free_propagate(sigma, 1.0, 1.0, SimpleAdelicSB.vacuum(), AdelicPoint.zero(), 5)
+    fp = free_propagate(sigma, 1.0, 1.0, alpha, x, 5)
     dev = abs(est.value.real - fp.value.real)
     return _result("feynman_kac", "free_reduction", dev <= 3 * est.std_error,
                    f"estimate {est.value.real:.5f} vs exact {fp.value.real:.5f} "

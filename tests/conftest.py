@@ -6,6 +6,24 @@ loops over the defining formulas, so agreement is a real cross-check.
 
 import math
 
+import pytest
+
+
+@pytest.fixture()
+def run_chunks_calls(monkeypatch):
+    """A list that grows by one for each call of feynman_kac._run_chunks, so a
+    test can show that its request sampled rather than folded exactly."""
+    from adelic_diffusion import feynman_kac
+
+    calls, real = [], feynman_kac._run_chunks
+
+    def counting(*args):
+        calls.append(args[0].__name__)
+        return real(*args)
+
+    monkeypatch.setattr(feynman_kac, "_run_chunks", counting)
+    return calls
+
 
 def density_fourier_oracle(p, b, sigma, t, m_x, depth=400):
     """Radial density via Fourier-side shell quadrature.

@@ -5,6 +5,7 @@ criterion.  Seeds are pre-registered so every statistical assertion is
 deterministic.
 """
 
+import json
 import math
 import time
 from collections import Counter
@@ -186,22 +187,25 @@ def test_07_vacuum_norm_identity():
               f"all values in (1/2, 2)")
 
 
-def test_08_fk_free_reduction():
+def test_08_fk_free_reduction(run_chunks_calls):
     t0 = time.perf_counter()
     sig = SigmaSequence.inverse_square()
     b, t, n = 1.0, 1.0, 100_000
-    om = SimpleAdelicSB.vacuum()
     v0 = SimplePotential.zero()
+    half = PAdicScalar.from_rational(Fraction(1, 2), 2)
     f2 = SBFunction.indicator(Ball(PAdicScalar.zero(2), -1), 1.0)
     f2b = SBFunction(2, (
         (Ball(PAdicScalar.zero(2), 0), 1.0 + 0j),
         (Ball(PAdicScalar.from_int(1, 2), -1), 0.5 + 0j),
     ))
+    f3 = SBFunction.indicator(Ball(PAdicScalar.zero(3), -1), 1.0)
+    # every point has one non-vacuum factor, so one prime is sampled
     points = [
-        (AdelicPoint.zero(), om, 6),
-        (AdelicPoint.of({2: PAdicScalar.from_rational(Fraction(1, 2), 2)}), om, 4),
+        (AdelicPoint.of({3: PAdicScalar.zero(3)}), SimpleAdelicSB.of({3: f3}), 6),
+        (AdelicPoint.of({2: half}), SimpleAdelicSB.of({2: SBFunction.indicator(Ball(half, 0))}),
+         4),
         (AdelicPoint.resolved_zeros(1), SimpleAdelicSB.of({2: f2}), 4),
-        (AdelicPoint.of({3: PAdicScalar.from_int(3, 3)}), om, 4),
+        (AdelicPoint.of({3: PAdicScalar.from_int(3, 3)}), SimpleAdelicSB.of({3: f3}), 4),
         (AdelicPoint.resolved_zeros(1), SimpleAdelicSB.of({2: f2b}), 3),
     ]
     devs = []
@@ -210,13 +214,12 @@ def test_08_fk_free_reduction():
         est = fk_expectation(req)
         fp = free_propagate(sig, b, t, alpha_f, x, N)
         dev = abs(est.value.real - fp.value.real)
+        assert len(run_chunks_calls) == k + 1
         assert dev <= 3 * est.std_error, (k, dev, est.std_error)
-        if est.std_error > 0:  # vacuum-only points fold into an exact value
-            devs.append(dev / est.std_error)
+        devs.append(dev / est.std_error)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    report(8, f"5 test points ({len(points) - len(devs)} exact), "
-              f"max dev {max(devs):.2f} SE (<3), {elapsed:.1f}s (<60s)")
+    report(8, f"5 test points, max dev {max(devs):.2f} SE (<3), {elapsed:.1f}s (<60s)")
 
 
 SIG_P2 = SigmaSequence(explicit=(1.0,))
@@ -293,27 +296,36 @@ def test_11_generator_convergence():
                + ", ".join(f"{o:.3f}" for o in orders_all) + " (1.0 +/- 0.3)")
 
 
-def test_12_reproducibility():
+def test_12_reproducibility(run_chunks_calls):
     sig = SigmaSequence.inverse_square()
-    om = SimpleAdelicSB.vacuum()
+    # a non-vacuum factor at 2 keeps that prime sampled
+    alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(ZERO2, -1))})
     vals = []
     for w in (1, 4, 8):
-        req = FKRequest(sig, 1.0, 1.0, AdelicPoint.zero(), om,
+        req = FKRequest(sig, 1.0, 1.0, AdelicPoint.resolved_zeros(1), alpha_f,
                         SimplePotential.zero(), 20_000, 4, seed=9500,
                         workers=w, chunk_size=2048)
         vals.append(fk_expectation(req))
+    assert len(run_chunks_calls) == 3
     assert vals[0].value == vals[1].value == vals[2].value
     assert vals[0].std_error == vals[1].std_error == vals[2].std_error
 
+    # a potential at 2 keeps that prime sampled; 10,000 paths make three
+    # chunks of the CLI's default size, so the workers have chunks to share
     runner = CliRunner()
     outputs = []
     with runner.isolated_filesystem():
+        with open("pot.json", "w") as fh:
+            json.dump({"components": [{"prime": 2, "tau": 0.5, "terms": [
+                {"zero": True, "radius_exp": 0, "coeff": 1.0}]}]}, fh)
         for w in (1, 4, 8):
             res = runner.invoke(cli_main, [
-                "fk", "--b", "1", "--t", "1", "--n-paths", "4000", "-N", "3",
-                "--seed", "11", "--workers", str(w), "-o", f"out_{w}.csv",
+                "fk", "--b", "1", "--t", "1", "--n-paths", "10000", "-N", "3",
+                "--seed", "11", "--potential", "pot.json", "--workers", str(w),
+                "-o", f"out_{w}.csv",
             ])
             assert res.exit_code == 0, res.output
             outputs.append(open(f"out_{w}.csv", "rb").read())
+    assert len(run_chunks_calls) == 6
     assert outputs[0] == outputs[1] == outputs[2]
     report(12, "fk estimates and CLI outputs bit-identical for workers 1/4/8")

@@ -243,6 +243,28 @@ class TestFkManifest:
         assert config["product"] is True
         assert self.rerun(runner, out, tmp_path) == out.read_bytes()
 
+    def test_kernel_mode_rejects_observable(self, runner, tmp_path):
+        # the kernel estimators never read the observable
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"factors": [{"prime": 2, "terms": [
+            {"zero": True, "radius_exp": -1, "coeff": 1.0}]}]}))
+        x = tmp_path / "x.json"
+        x.write_text(json.dumps({"components": [{"prime": 2, "zero": True}]}))
+        y = tmp_path / "y.json"
+        y.write_text(json.dumps({"components": [
+            {"prime": 2, "valuation": 0, "digits": [1]}]}))
+        res = runner.invoke(main, ["fk", "--n-paths", "10", "-N", "1", "--point", str(x),
+                                   "--endpoint", str(y), "--observable", str(obs),
+                                   "-o", str(tmp_path / "k.csv")])
+        assert res.exit_code == 2
+        assert "takes no observable" in res.output
+
+    def test_product_without_endpoint_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["fk", "--n-paths", "10", "-N", "1", "--product",
+                                   "-o", str(tmp_path / "fk.csv")])
+        assert res.exit_code == 2
+        assert "needs an endpoint" in res.output
+
     def test_observable_without_point_is_config_error(self, runner, tmp_path):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"factors": [{"prime": 3, "terms": [
@@ -333,18 +355,40 @@ class TestWorkerCount:
         assert "bridge_steps must be at least 2" in res.output
 
 
+BALL_AT_ZERO = [{"zero": True, "radius_exp": 0, "coeff": 1.0}]
+RERUN_CASES = {
+    "density": ["density", "-p", "3", "--t", "0.5"],
+    "exit": ["exit", "-p", "2", "-T", "0.5", "--r", "0", "--n-paths", "50", "--seed", "4"],
+    "sample": ["sample", "-p", "3", "-T", "1", "--n-paths", "3", "--seed", "2"],
+    "exit-count": ["exit-count", "--seed", "3", "--n-paths", "800", "-N", "4",
+                   "--k-max", "4"],
+    "operator": ["operator", "--primes", "2", "--observable", "obs.json"],
+    "fk": ["fk", "--n-paths", "500", "-N", "3", "--seed", "2", "--potential", "pot.json"],
+    "validate": ["validate", "--inject-alpha-bug"],
+}
+
+
 class TestManifestReproducibility:
-    def test_rerun_from_manifest_bit_identical(self, runner, tmp_path):
-        out1 = tmp_path / "a.csv"
-        res = runner.invoke(main, ["exit-count", "--seed", "3", "--n-paths", "800",
-                                   "-N", "4", "--k-max", "4", "-o", str(out1)])
+    @pytest.mark.parametrize("command", list(RERUN_CASES))
+    def test_rerun_from_manifest_bit_identical(self, runner, tmp_path, monkeypatch,
+                                               command):
+        monkeypatch.chdir(tmp_path)
+        Path("obs.json").write_text(json.dumps(
+            {"factors": [{"prime": 2, "terms": BALL_AT_ZERO}]}))
+        Path("pot.json").write_text(json.dumps(
+            {"components": [{"prime": 2, "tau": 0.5, "terms": BALL_AT_ZERO}]}))
+        res = runner.invoke(main, [*RERUN_CASES[command], "-o", "a.csv"])
         assert res.exit_code == 0, res.output
-        out2 = tmp_path / "b.csv"
-        res2 = runner.invoke(main, ["exit-count",
-                                    "--config", str(out1) + ".manifest.json",
-                                    "-o", str(out2)])
+        res2 = runner.invoke(main, [command, "--config", "a.csv.manifest.json",
+                                    "-o", "b.csv"])
         assert res2.exit_code == 0, res2.output
-        assert out1.read_bytes() == out2.read_bytes()
+        assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["density", "operator", "validate"])
+    def test_seed_rejected_where_nothing_is_drawn(self, runner, tmp_path, command):
+        res = runner.invoke(main, [command, "--seed", "1", "-o", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
 
     def test_output_flag_wins_over_config_output(self, runner, tmp_path):
         a, b, c = (tmp_path / f"{name}.csv" for name in "abc")

@@ -118,10 +118,14 @@ class TestFreePropagate:
 
 
 class TestFkExpectation:
-    def test_free_reduction_within_3se(self):
-        req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 30_000, 5, seed=704)
+    def test_free_reduction_within_3se(self, run_chunks_calls):
+        # the factor at 2 is sampled; the vacuum primes 3..11 fold exactly
+        x = AdelicPoint.resolved_zeros(1)
+        alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))})
+        req = FKRequest(SIG, B, 1.0, x, alpha_f, V0, 30_000, 5, seed=704)
         est = fk_expectation(req)
-        fp = free_propagate(SIG, B, 1.0, OM, AdelicPoint.zero(), 5)
+        fp = free_propagate(SIG, B, 1.0, alpha_f, x, 5)
+        assert run_chunks_calls
         assert abs(est.value.real - fp.value.real) <= 3 * est.std_error
 
     def test_damping_below_free(self):
@@ -142,12 +146,15 @@ class TestFkExpectation:
         assert damped.value.real <= plain.value.real
         assert corr_se < damped.std_error + plain.std_error
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, run_chunks_calls):
+        x = AdelicPoint.resolved_zeros(1)
+        alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))})
         vals = []
         for w in (1, 4, 8):
-            req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 10_000, 4,
+            req = FKRequest(SIG, B, 1.0, x, alpha_f, V0, 10_000, 4,
                             seed=708, workers=w, chunk_size=1024)
             vals.append(fk_expectation(req))
+        assert len(run_chunks_calls) == 3
         assert vals[0].value == vals[1].value == vals[2].value
         assert vals[0].std_error == vals[1].std_error == vals[2].std_error
 
