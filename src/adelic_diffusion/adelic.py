@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, SummabilityError
-from .heat_kernel import KernelParams, alpha
+from .heat_kernel import KernelParams, alpha_pb
 from .padic import PAdicScalar
 from .primes import TABLE_SIZE, prime_at, prime_index
 from .rng import RngStream
@@ -116,7 +116,7 @@ class SigmaSequence:
 
     def beta(self, i: int, b: float) -> float:
         """Exit rate of the i-th component from Z_p: sigma_i alpha_i."""
-        return self.sigma(i) * alpha(self.kernel_params(i, b))
+        return self.sigma(i) * alpha_pb(prime_at(i), b)
 
     def beta_tail_upper(self, N: int, b: float) -> float:
         """Upper bound on sum_{i > N} sigma_i alpha_i (alpha < 1 past table)."""

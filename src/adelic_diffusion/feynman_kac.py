@@ -7,9 +7,12 @@ Estimates run over adelic bundles truncated at N primes:
   so event-driven paths make the action integral exact, endpoint-only
   primes reduce to one radial increment, and vacuum, potential-free primes
   to their exact free factor (no time discretization anywhere);
-* kernel mode: bridge Monte Carlo times the analytic endpoint density, with
-  the action evaluated by a time-symmetric trapezoid over the bridge
-  skeleton so that kernel estimates are exactly reversal-symmetric in law.
+* kernel mode: bridge Monte Carlo times the analytic endpoint density.  The
+  batched engine `sample_bridges` fills every path of a chunk together in
+  a p-adic integer window, and the action is a time-symmetric trapezoid
+  over its ball memberships, so kernel estimates are exactly
+  reversal-symmetric in law.  `sample_bridge`, one path of `PAdicScalar`s,
+  is the digit-exact oracle it is tested against.
 
 Paths are assigned to fixed-size chunks keyed by (seed, chunk index), so
 results are bit-identical for any worker count.
@@ -45,10 +48,11 @@ from .primes import prime_at, prime_index
 from .rng import RngStream
 from .sampler import (
     BridgeSpec,
+    BridgeWindow,
     EventPath,
-    PathSkeleton,
     increment_law,
-    sample_bridge,
+    sample_bridge,  # noqa: F401  unused here; perfbench/layers.py patches this name
+    sample_bridges,
     sample_event_path,
     sample_increment,
 )
@@ -63,7 +67,9 @@ from .schwartz import (
 )
 
 DEFAULT_CHUNK = 4096
-# p-adic digits kept in endpoint increments and bridge points.
+# Bridges sampled together; bounds the window integers a chunk holds at once.
+BRIDGE_BATCH = 256
+# p-adic digits kept in endpoint increments and bridge jumps, counting the leading one.
 PRECISION = 24
 
 
@@ -118,38 +124,25 @@ class FKEstimate:
 # -- action integrals --------------------------------------------------------
 
 
-def action_integral(path: EventPath | PathSkeleton, v: SimplePotential,
-                    t: float) -> float:
-    """Time integral of the potential component along a single-prime path.
-
-    Event paths give the exact integral whenever the potential is constant
-    at the path resolution.  Skeletons integrate the cadlag interpolant by
-    the trapezoid rule, which is invariant under time reversal.
-    """
+def action_integral(path: EventPath, v: SimplePotential, t: float) -> float:
+    """Exact time integral of the potential component along an event path,
+    which needs the potential constant at the path resolution."""
     comp = v.component(path.params.p)
     if comp is None:
         return 0.0
     tau, f = comp
+    if path.resolution > f.min_radius_exp():
+        raise ResolutionError("event path coarser than the potential constancy scale")
     total = 0.0
-    if isinstance(path, EventPath):
-        if path.resolution > f.min_radius_exp():
-            raise ResolutionError(
-                "event path coarser than the potential constancy scale"
-            )
-        for duration, pos in path.segments(min(t, path.horizon)):
-            total += duration * eval_sb(f, pos).real
-        return tau * total
-    times = path.times
-    vals = [eval_sb(f, pos).real for pos in path.values]
-    for k in range(len(times) - 1):
-        dt = min(times[k + 1], t) - min(times[k], t)
-        if dt > 0:
-            total += dt * 0.5 * (vals[k] + vals[k + 1])
+    for duration, pos in path.segments(min(t, path.horizon)):
+        total += duration * eval_sb(f, pos).real
     return tau * total
 
 
 def bundle_action(bundle_components, v: SimplePotential, t: float) -> float:
-    """Sum of per-prime exact action integrals over an adelic bundle."""
+    """Sum of per-prime exact action integrals over an event-path bundle."""
+    if not all(isinstance(path, EventPath) for _, path in bundle_components):
+        raise ConfigError("exact action integrals need an event-path bundle, not skeletons")
     sampled = {p for p, _ in bundle_components}
     for p in v.component_primes():
         if p not in sampled:
@@ -424,17 +417,30 @@ class _BridgePlan:
     salt: int = 0
 
 
+def _bridge_action(paths: BridgeWindow, tau: float, f: SBFunction) -> np.ndarray:
+    """tau * int_0^t f(X_s) ds per path, by the trapezoid rule over the bridge
+    grid (invariant under time reversal), from window ball memberships."""
+    vals = np.zeros(paths.offsets.shape)
+    for ball, coeff in f.terms:
+        vals += coeff.real * paths.in_ball(ball)
+    dt = np.diff(paths.times)
+    return tau * ((vals[:, :-1] + vals[:, 1:]) * (0.5 * dt)).sum(axis=1)
+
+
 def _kernel_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
+    """e^{-action} per path and plan, from batches of bridges drawn in turn
+    from the plan's stream."""
     stream = RngStream(req.seed)
-    steps = req.bridge_steps
-    epochs = [req.t * k / steps for k in range(1, steps)]
     out = np.ones((count, len(plans)))
     for col, plan in enumerate(plans):
         gen = stream.child(plan.salt, chunk_idx, plan.slot).generator()
+        tau, f = req.v.component(plan.params.p)
         spec = BridgeSpec(plan.params, req.t, plan.x, plan.y)
-        for j in range(count):
-            sk = sample_bridge(plan.params, spec, epochs, gen, PRECISION)
-            out[j, col] = math.exp(-action_integral(sk, req.v, req.t))
+        for lo in range(0, count, BRIDGE_BATCH):
+            n = min(BRIDGE_BATCH, count - lo)
+            paths = sample_bridges(plan.params, spec, req.bridge_steps, n, gen, PRECISION,
+                                   cover=tuple(ball for ball, _ in f.terms))
+            out[lo:lo + n, col] = np.exp(-_bridge_action(paths, tau, f))
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,7 +68,11 @@ def _decay(params: KernelParams, t: float, r: int) -> float:
 
 def alpha(params: KernelParams) -> float:
     """Exit-rate constant 1 - (p^b - 1)/(p^{b+1} - 1), strictly in (0, 1)."""
-    p, b = params.p, params.b
+    return alpha_pb(params.p, params.b)
+
+
+def alpha_pb(p: int, b: float) -> float:
+    """alpha for prime p and exponent b, without building KernelParams."""
     return 1.0 - (_pow(p, b) - 1.0) / (_pow(p, b + 1.0) - 1.0)
 
 
@@ -185,6 +189,11 @@ def overshoot_law(params: KernelParams, r: int, k: int) -> float:
     return (1.0 - q) * q ** (k - 1)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class RadialLaw:
     """Radial law over spheres p^m, m in [m_lo, m_hi], plus deep-ball rest.
@@ -204,9 +213,14 @@ class RadialLaw:
     def __post_init__(self):
         assert len(self.masses) == self.m_hi - self.m_lo + 1
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.masses)
+        """The sphere masses, built once per law (read-only)."""
+        return _frozen(np.asarray(self.masses))
+
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        return _frozen(np.cumsum(self.array))
 
     def mass(self, m: int) -> float:
         if self.m_lo <= m <= self.m_hi:
@@ -224,7 +238,8 @@ class RadialLaw:
         return float(np.sum(self.array))
 
     def cdf(self) -> np.ndarray:
-        return np.cumsum(self.array)
+        """Cumulative sphere masses, built once per law (read-only)."""
+        return self._cumulative
 
     def sample_exponents(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """Sphere exponents from the window law renormalized to mass one."""

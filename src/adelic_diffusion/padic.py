@@ -6,6 +6,11 @@ are exact up to the common known modulus; the ultrametric guarantees no
 other precision loss.  Balls, Haar measures of balls and spheres, uniform
 samplers on balls and spheres, and the rank-0 additive character live here
 too, since everything downstream is built from them.
+
+Batched samplers hold many values of one prime as integers in a window:
+the window with coarse end p^coarse and `width` digits stores x as the
+integer x * p^coarse mod p^width, so sums are exact integer sums, and
+membership in a ball of radius p^r is divisibility by p^(coarse - r).
 """
 
 from __future__ import annotations
@@ -308,3 +313,30 @@ def uniform_ball(rng, p: int, ball: Ball, precision: int = DEFAULT_PRECISION) ->
     digits = gen.integers(0, p, size=precision)
     offset = PAdicScalar.from_digits(p, -ball.radius_exp, digits, precision)
     return ball.center + offset
+
+
+def window_int(x: PAdicScalar, coarse: int, width: int) -> int:
+    """x * p^coarse as an integer mod p^width, where every known digit of x
+    must lie in the window (valuations -coarse .. width - coarse - 1)."""
+    if x.is_zero():
+        return 0
+    shift = x.valuation + coarse
+    if shift < 0 or shift + x.precision > width:
+        raise ValueError(f"digits of {x!r} fall outside the window "
+                         f"(coarse end p^{coarse}, {width} digits)")
+    return x.significand * x.prime**shift
+
+
+def uniform_digits(gen: np.random.Generator, p: int, n: int, digits: int) -> np.ndarray:
+    """n independent uniform draws from Z / p^digits, as an object array of
+    Python ints; the digits come in int64 blocks of base p^k."""
+    if digits <= 0:
+        return np.zeros(n, dtype=object)
+    k = 1
+    while p ** (k + 1) < 2**62:
+        k += 1
+    blocks = gen.integers(0, p**k, size=(n, -(-digits // k)), dtype=np.int64)
+    out = blocks[:, 0].astype(object)
+    for j in range(1, blocks.shape[1]):
+        out += blocks[:, j].astype(object) * p ** (k * j)
+    return out % p**digits

@@ -84,6 +84,16 @@ class TestActionIntegral:
         )
         assert total == pytest.approx(parts, rel=1e-14)
 
+    def test_bundle_action_rejects_skeletons(self):
+        from adelic_diffusion.feynman_kac import bundle_action
+        from adelic_diffusion import sample_adelic_path
+
+        pot = SimplePotential.of({2: (0.5, SBFunction.vacuum(2))})
+        bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), 1,
+                                    RngStream(721), epochs=[0.5, 1.0])
+        with pytest.raises(ConfigError, match="event-path bundle"):
+            bundle_action(bundle.components, pot, 1.0)
+
 
 class TestFreePropagate:
     def test_vacuum_product_with_tail(self):
@@ -322,6 +332,23 @@ class TestKernels:
         assert abs(joint.value.real - prod.value.real) <= 3 * comb
         assert len(factors) == 2
 
+    def test_worker_invariance(self, run_chunks_calls):
+        pot23 = SimplePotential.of({
+            2: (0.6, SBFunction.vacuum(2)),
+            3: (0.5, SBFunction.indicator(Ball(PAdicScalar.zero(3), -1))),
+        })
+        req = FKRequest(SIG, B, 1.0, self.X, OM, pot23, 600, 2, seed=724, y=self.Y,
+                        bridge_steps=16, chunk_size=200)
+        joint, product = [], []
+        for w in (1, 4, 8):
+            joint.append(fk_kernel(replace(req, workers=w)))
+            product.append(fk_kernel_product(replace(req, workers=w)))
+        # three chunks per call: one joint call and one per prime for the product
+        assert run_chunks_calls == ["_kernel_chunk"] * 9
+        assert joint[0].std_error > 0
+        assert joint[0] == joint[1] == joint[2]
+        assert product[0] == product[1] == product[2]
+
     def test_dropped_vacuum_prime_in_density_range(self):
         # removing a v-free prime from the product changes the value by a
         # factor inside [density on S_0, density at 0]
@@ -334,6 +361,15 @@ class TestKernels:
                          seed=714, y=AdelicPoint.resolved_zeros(1))
         dropped = fk_kernel(req1).value.real
         assert dropped * lo_f <= full <= dropped * hi_f
+
+    def test_coarse_start_for_potential_ball_rejected(self):
+        # x_3 is known to 2 digits, the ball's offset from it needs 5
+        pot = SimplePotential.of({3: (0.5, SBFunction.indicator(
+            Ball(PAdicScalar.from_int(1, 3, 24), -5)))})
+        x = AdelicPoint.resolved_zeros(2, p3=PAdicScalar.from_digits(3, 0, [1, 2]))
+        req = FKRequest(SIG, B, 1.0, x, OM, pot, 20, 2, seed=725, y=x, bridge_steps=4)
+        with pytest.raises(PrecisionError):
+            fk_kernel(req)
 
     def test_unresolved_endpoint_rejected(self):
         req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 10, 2, seed=715,

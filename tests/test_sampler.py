@@ -2,9 +2,11 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adelic_diffusion import (
     BridgeSpec,
@@ -26,8 +28,11 @@ from adelic_diffusion import (
     sample_skeleton,
     sup_norm_exceeds,
 )
-from adelic_diffusion.sampler import bridge_class_total
-from conftest import fine_skeleton_exit_landings
+from adelic_diffusion.feynman_kac import _bridge_action
+from adelic_diffusion.padic import Ball, _normalised
+from adelic_diffusion.sampler import _bridge_tree, bridge_class_total, sample_bridges
+from adelic_diffusion.schwartz import SBFunction, eval_sb
+from conftest import fine_skeleton_exit_landings, tv_distance
 
 KP = KernelParams(2, 1.0, 1.0)
 ZERO = PAdicScalar.zero(2)
@@ -219,6 +224,17 @@ class TestCrossSampler:
 
 
 class TestBridge:
+    @given(p=st.sampled_from((2, 3, 5, 7, 11)), b=st.floats(0.25, 2.0),
+           tau0=st.floats(0.01, 10.0), tau1=st.floats(0.01, 10.0),
+           delta=st.none() | st.integers(-8, 8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_class_total_is_chapman_kolmogorov_density(self, p, b, tau0, tau1, delta):
+        kp = KernelParams(p, b, 1.0)
+        total = bridge_class_total(kp, tau0, tau1, delta)
+        t = tau0 + tau1
+        direct = density(kp, t, delta) if delta is not None else density_center(kp, t)
+        assert total == pytest.approx(direct, rel=1e-10)
+
     def test_class_total_equals_chapman_kolmogorov(self):
         for kp in (KP, KernelParams(3, 0.5, 0.7)):
             for delta in (None, 0, 1, 2, -3):
@@ -326,6 +342,146 @@ class TestBridge:
         with pytest.raises(TruncationError, match="equal-sphere"):
             _bridge_point(kp3, 0.0, PAdicScalar.zero(3), 1.0, x1, 0.5, gen, 8)
         assert gen.draws == MAX_EQUAL_SPHERE_TRIES
+
+
+def window_point(paths, i, k):
+    """Position of path i at paths.times[k] as a scalar, known to the
+    window's fine end."""
+    p = paths.params.p
+    n = paths.offsets[i, k] % p**paths.width
+    if n == 0:
+        return paths.x + PAdicScalar.zero(p, paths.width - paths.coarse)
+    return paths.x + _normalised(p, -paths.coarse, n, paths.width)
+
+
+def midpoint_class(z, x0, x1):
+    return radial_class(z - x0, -4), radial_class(z - x1, -4)
+
+
+def trapezoid_action(sk, tau, f):
+    """The kernel estimator's trapezoid action on a digit-exact skeleton."""
+    vals = [eval_sb(f, z).real for z in sk.values]
+    return tau * sum((t1 - t0) * 0.5 * (v0 + v1) for t0, t1, v0, v1
+                     in zip(sk.times, sk.times[1:], vals, vals[1:]))
+
+
+def _pinned_pairs(p):
+    """test_09's three endpoint pairs, carried over to the prime p."""
+    zero = PAdicScalar.zero(p)
+    return [(zero, PAdicScalar.from_int(1, p)),
+            (zero, PAdicScalar.from_rational(Fraction(1, p), p)),
+            (PAdicScalar.from_int(1, p), PAdicScalar.from_int(1 + p, p))]
+
+
+# (name, p, x, y, tau, potential factor f); pre-registered, seed 12_100 + 10 * index
+ENGINE_CASES = [
+    *((f"test09-p{p}-pair{k}", p, x, y, 0.7, SBFunction.vacuum(p))
+      for p in (2, 3) for k, (x, y) in enumerate(_pinned_pairs(p))),
+    ("off-centre-ball", 3, PAdicScalar.zero(3), PAdicScalar.from_int(2, 3), 1.0,
+     SBFunction.indicator(Ball(PAdicScalar.from_int(1, 3), -1))),
+    ("wide-window", 5, PAdicScalar.zero(5), PAdicScalar.from_rational(Fraction(2, 125), 5),
+     1.0, SBFunction.indicator(Ball(PAdicScalar.zero(5), -2))),
+]
+
+
+class TestBridgeEngine:
+    """The batched engine against the digit-exact oracle sample_bridge, in law."""
+
+    STEPS, N_ENGINE, N_ORACLE, TV_MAX = 32, 8000, 1200, 0.08
+
+    @pytest.mark.parametrize("k", range(len(ENGINE_CASES)),
+                             ids=[c[0] for c in ENGINE_CASES])
+    def test_matches_oracle_in_law(self, k):
+        name, p, x, y, tau, f = ENGINE_CASES[k]
+        kp = KernelParams(p, 1.0, 1.0)
+        spec = BridgeSpec(kp, 1.0, x, y)
+        mid = self.STEPS // 2
+        paths = sample_bridges(kp, spec, self.STEPS, self.N_ENGINE, RngStream(12_100 + 10 * k),
+                               24, cover=tuple(b for b, _ in f.terms))
+        engine_cls = Counter(midpoint_class(window_point(paths, i, mid), x, y)
+                             for i in range(self.N_ENGINE))
+        engine_w = np.exp(-_bridge_action(paths, tau, f))
+        gen = RngStream(12_101 + 10 * k).generator()
+        epochs = [j / self.STEPS for j in range(1, self.STEPS)]
+        oracle_cls, oracle_w = Counter(), []
+        for _ in range(self.N_ORACLE):
+            sk = sample_bridge(kp, spec, epochs, gen, 24)
+            oracle_cls[midpoint_class(sk.values[mid], x, y)] += 1
+            oracle_w.append(math.exp(-trapezoid_action(sk, tau, f)))
+        tv = tv_distance({c: m / self.N_ENGINE for c, m in engine_cls.items()},
+                         {c: m / self.N_ORACLE for c, m in oracle_cls.items()})
+        assert tv < self.TV_MAX, (name, tv)
+        se = math.hypot(np.std(engine_w, ddof=1) / math.sqrt(self.N_ENGINE),
+                        np.std(oracle_w, ddof=1) / math.sqrt(self.N_ORACLE))
+        assert abs(np.mean(engine_w) - np.mean(oracle_w)) <= 3 * se, name
+        if name == "wide-window":
+            assert paths.width * math.log2(p) > 64
+
+    def test_endpoints_pinned_through_widening(self):
+        # no cover and x = y: the window starts empty and every level widens it
+        kp3 = KernelParams(3, 1.0, 1.0)
+        x = PAdicScalar.from_int(5, 3, 24)
+        paths = sample_bridges(kp3, BridgeSpec(kp3, 1.0, x, x), 16, 50, RngStream(12_200), 24)
+        assert paths.width >= 24
+        y = PAdicScalar.from_rational(Fraction(7, 9), 3, 24)
+        paths = sample_bridges(kp3, BridgeSpec(kp3, 1.0, x, y), 16, 50, RngStream(12_201), 24)
+        for i in range(50):
+            pts = [window_point(paths, i, k) for k in range(17)]
+            assert pts[0] == x + PAdicScalar.zero(3, paths.width - paths.coarse)
+            assert (pts[16] - y).known_mod_exp() >= y.known_mod_exp()
+            assert (pts[16] - y).is_zero()
+            for d in (z - x for z in pts):
+                assert d.is_zero() or d.abs_exp() <= paths.coarse
+            # each jump keeps 24 digits counting its leading one; a midpoint's
+            # jump is as long as its distance to the nearer neighbour
+            for a, m, b in (node for nodes in _bridge_tree(16) for node in nodes):
+                level = min(e for e in ((pts[m] - pts[a]).abs_exp(), (pts[m] - pts[b]).abs_exp())
+                            if e is not None)
+                assert paths.width - paths.coarse + level >= 24
+
+    def test_batch_is_deterministic(self):
+        y = PAdicScalar.from_int(5, 2, 24)
+        spec = BridgeSpec(KP, 1.0, ZERO, y)
+        a = sample_bridges(KP, spec, 8, 20, RngStream(12_202).child(1), 24)
+        b = sample_bridges(KP, spec, 8, 20, RngStream(12_202).child(1), 24)
+        assert (a.coarse, a.width) == (b.coarse, b.width)
+        assert (a.offsets == b.offsets).all()
+
+    def test_underflow_error(self):
+        far = PAdicScalar(2, -(2**17), 1, 8)
+        with pytest.raises(BridgeUnderflowError):
+            sample_bridges(KP, BridgeSpec(KP, 1e-3, ZERO, far), 2, 4, RngStream(12_203), 24)
+
+    def test_equal_sphere_rejection_is_capped(self):
+        from adelic_diffusion.sampler import (
+            MAX_EQUAL_SPHERE_TRIES, _EQUAL_SPHERES, _bridge_classes,
+        )
+
+        kp3 = KernelParams(3, 1.0, 1.0)
+        x1 = PAdicScalar.from_int(1, 3, 8)
+        labels, cum = _bridge_classes(kp3, 0.5, 0.5, 0)
+        idx = labels.index((_EQUAL_SPHERES, 0))
+        u = 0.5 * ((cum[idx - 1] if idx else 0.0) + cum[idx]) / cum[-1]
+
+        class StuckGenerator(np.random.Generator):
+            """Picks the equal-sphere class, then the one leading digit that
+            puts z on the sphere |z - x1| < 1, every time."""
+
+            leads = 0
+
+            def random(self, size=None):
+                return np.full(size, u)
+
+            def integers(self, low, high=None, size=None, dtype=np.int64):
+                if low == 1:
+                    self.leads += 1
+                    return np.ones(size, dtype=np.int64)
+                return np.zeros(size, dtype=dtype)
+
+        gen = StuckGenerator(np.random.Philox(0))
+        with pytest.raises(TruncationError, match="equal-sphere"):
+            sample_bridges(kp3, BridgeSpec(kp3, 1.0, PAdicScalar.zero(3), x1), 2, 1, gen, 24)
+        assert gen.leads == MAX_EQUAL_SPHERE_TRIES
 
 
 class TestOvershootConditioningOracle:
