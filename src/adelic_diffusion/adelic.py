@@ -254,17 +254,10 @@ def choose_truncation(sigma: SigmaSequence, b: float, T: float, eps: float) -> i
     if T < 0:
         raise ConfigError("T must be nonnegative")
     budget = -math.log1p(-eps)
-    top = sigma.n_defined()
-    tail = sigma.beta_tail_upper(0, b)
-    if T * sigma.beta_tail_upper(top, b) > budget:
-        raise ConfigError("tail rule cannot achieve eps within the prime table")
-    N = 0
-    while T * tail > budget:
-        N += 1
-        if N > top:
-            raise ConfigError("tail rule cannot achieve eps within the prime table")
-        tail -= sigma.beta(N, b)
-    return N
+    for N, tail in enumerate(_beta_suffix(sigma, b)):
+        if T * tail <= budget:
+            return N
+    raise ConfigError("tail rule cannot achieve eps within the prime table")
 
 
 def tail_certificate(sigma: SigmaSequence, b: float, T: float, N: int) -> float:

@@ -60,7 +60,7 @@ from .heat_kernel import (
 from .io import observable_from_json, point_from_json, potential_from_json
 from .padic import PAdicScalar
 from .rng import RngStream
-from .sampler import sample_event_path, sample_skeleton, sup_norm_exceeds
+from .sampler import sample_event_path, sample_skeleton, skeleton_stays, sup_norm_exceeds
 from .schwartz import SimpleAdelicSB, SimplePotential, vacuum_multiplier_norm_sq, vladimirov_apply
 
 TOLERANCES = {
@@ -285,14 +285,8 @@ def exit_cmd(cfg, write):
         path = sample_event_path(params, zero, T, min(rr, 0), gen)
         if not sup_norm_exceeds(path, rr):
             stay_event += 1
-    n_sk = min(n, 5000)
-    gen = RngStream(sd).child(2).generator()
-    epochs = [T * k / 256 for k in range(1, 257)]
-    stay_sk = 0
-    for _ in range(n_sk):
-        sk = sample_skeleton(params, epochs, zero, gen, 16)
-        if all(v.is_zero() or v.abs_exp() <= rr for v in sk.values):
-            stay_sk += 1
+    n_sk = min(n, 5000)  # the increment radii of 10^5 skeletons would take ~400 MB
+    stay_sk = int(skeleton_stays(params, T, rr, 256, n_sk, RngStream(sd).child(2)).sum())
     rows = [
         ["analytic", T, rr, analytic, 0.0, 0],
         ["event_mc", T, rr, stay_event / n, se, n],

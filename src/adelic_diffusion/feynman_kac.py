@@ -5,8 +5,9 @@ Estimates run over adelic bundles truncated at N primes:
 
 * exact mode: potentials and observables locally constant at known scales,
   so event-driven paths make the action integral exact, endpoint-only
-  primes reduce to one radial increment, and vacuum, potential-free primes
-  to their exact free factor (no time discretization anywhere);
+  primes reduce to one radius, its sphere point integrated out, and vacuum,
+  potential-free primes to their exact free factor (no time discretization
+  anywhere);
 * kernel mode: bridge Monte Carlo times the analytic endpoint density.  The
   batched engine `sample_bridges` fills every path of a chunk together in
   a p-adic integer window, and the action is a time-symmetric trapezoid
@@ -42,8 +43,10 @@ from .heat_kernel import (
     density_center,
     radial_convolve,
     radial_law,
+    sphere_ball_share,
 )
-from .padic import Ball, PAdicScalar, uniform_sphere
+from .padic import Ball, PAdicScalar
+from .padic import uniform_sphere  # noqa: F401  unused here; perfbench/layers.py patches this name
 from .primes import prime_at, prime_index
 from .rng import RngStream
 from .sampler import (
@@ -69,7 +72,7 @@ from .schwartz import (
 DEFAULT_CHUNK = 4096
 # Bridges sampled together; bounds the window integers a chunk holds at once.
 BRIDGE_BATCH = 256
-# p-adic digits kept in endpoint increments and bridge jumps, counting the leading one.
+# p-adic digits kept in bridge jumps and semigroup-check increments, counting the leading one.
 PRECISION = 24
 
 
@@ -246,50 +249,36 @@ def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
         params = req.sigma.kernel_params(i, req.b)
         start = req.x.component(p)
         alpha_f = req.alpha.factor(p)
-        require_resolved(alpha_f, start)
-        if start is None:
-            start = PAdicScalar.zero(p)
         v_term = req.v.component(p)
         fns = (alpha_f, v_term[1]) if v_term is not None else (alpha_f,)
+        for f in fns:
+            require_resolved(f, start)
+        if start is None:
+            start = PAdicScalar.zero(p)
         plan = _PrimePlan(i - 1, params, start, alpha_f, v_term, resolution_for(*fns), None)
         plans.append(plan if v_term is not None or plan.folds
                      else replace(plan, law=increment_law(params, req.t)))
     return tuple(plans)
 
 
-def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator,
-                     count: int, precision: int) -> np.ndarray:
-    """Vectorized evaluation of the observable factor at X_t = start + inc.
+def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> np.ndarray:
+    """E[f(X_t) | |X_t - start|] per path, from one increment radius p^m each.
 
-    Off-diagonal radius comparisons decide every indicator through the
-    ultrametric max rule; paths whose increment radius collides with a term
-    offset are materialized digit-exactly.
+    For a term on B_r(c) with |start - c| = p^e, the ultrametric inequality
+    decides the indicator for every m when e <= r (it is m <= r), and for
+    every m but e otherwise; on that sphere the term holds on the Haar share
+    of the sphere the ball fills.
     """
-    exps = plan.law.sample_exponents(gen, count)
+    m = plan.law.sample_exponents(gen, count)
     p = plan.params.p
-    collide_exps = set()
-    term_data = []
-    for ball, coeff in plan.alpha_f.terms:
-        d = plan.start - ball.center
-        e_d = d.abs_exp() if not d.is_zero() else None
-        term_data.append((ball, coeff, e_d))
-        if e_d is not None:
-            collide_exps.add(e_d)
     values = np.zeros(count, dtype=complex)
-    collide = np.isin(exps, sorted(collide_exps)) if collide_exps else np.zeros(count, bool)
-    for ball, coeff, e_d in term_data:
+    for ball, coeff in plan.alpha_f.terms:
         r = ball.radius_exp
-        if e_d is None:
-            ind = exps <= r
+        e = (plan.start - ball.center).abs_exp()
+        if e is None or e <= r:
+            values += coeff * (m <= r)
         else:
-            mx = np.maximum(exps, e_d)
-            ind = np.where(collide, False, mx <= r)
-        values += coeff * ind
-    idx = np.nonzero(collide)[0]
-    for j in idx:
-        prec = max(precision, int(exps[j]) - plan.alpha_f.min_radius_exp() + 4)
-        inc = uniform_sphere(gen, p, int(exps[j]), prec)
-        values[j] = eval_sb(plan.alpha_f, plan.start + inc)
+            values += coeff * np.where(m == e, sphere_ball_share(p, r, e), 0.0)
     return values
 
 
@@ -313,7 +302,7 @@ def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.nda
     for plan in plans:
         gen = stream.child(chunk_idx, plan.slot).generator()
         if plan.v_term is None:
-            vals = _endpoint_factor(plan, gen, count, PRECISION)
+            vals = _endpoint_factor(plan, gen, count)
         else:
             acts, vals = _event_factor(plan, req.v, req.t, gen, count)
             actions += acts
@@ -365,8 +354,9 @@ def fk_expectation(req: FKRequest) -> FKEstimate:
 
     Vacuum, potential-free primes contribute their exact free factor (as in
     free_propagate; with nothing else the estimate is exact, SE 0); other
-    primes without a potential term one radial increment; primes with one
-    event paths at the constancy scale, so the action integral is exact.
+    primes without a potential term one radius, its sphere point integrated
+    out; primes with one event paths at the constancy scale, so the action
+    integral is exact.
     """
     return fk_expectation_pair(req)[0]
 
@@ -477,6 +467,9 @@ def _bridge_plans(req: FKRequest) -> tuple[_BridgePlan, ...]:
     plans = []
     for slot, p in enumerate(req.v.component_primes()):
         params = req.sigma.kernel_params(prime_index(p), req.b)
+        f = req.v.component(p)[1]
+        require_resolved(f, req.x.component(p))
+        require_resolved(f, req.y.component(p))
         xc = req.x.component(p) or PAdicScalar.zero(p)
         yc = req.y.component(p) or PAdicScalar.zero(p)
         plans.append(_BridgePlan(slot, params, xc, yc))

@@ -163,6 +163,12 @@ def ball_kernel_mass(params: KernelParams, t: float, center_exp: int | None,
     return density(params, t, center_exp) * _pow(params.p, r)
 
 
+def sphere_ball_share(p: int, r: int, e: int) -> float:
+    """Haar share p^(r-e) p/(p-1) of the sphere {|x| = p^e} that a ball of
+    radius p^r (r < e) lying on it fills."""
+    return _pow(p, r - e) * p / (p - 1.0)
+
+
 def exit_prob(params: KernelParams, T: float, r: int) -> float:
     """P(sup_{s <= T} |X_s| <= p^r) = e^{-sigma alpha T p^{-rb}}."""
     if T < 0:
@@ -251,8 +257,7 @@ class RadialLaw:
         """P(Z in B_r(d)) for |d| = p^d_exp (None for d = 0), Z ~ this law."""
         if d_exp is None or r >= d_exp:
             return self.ball_cdf(r)
-        frac = _pow(self.p, r - d_exp) * self.p / (self.p - 1.0)
-        return self.mass(d_exp) * frac
+        return self.mass(d_exp) * sphere_ball_share(self.p, r, d_exp)
 
 
 def radial_law(params: KernelParams, t: float,

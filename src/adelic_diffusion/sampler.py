@@ -28,6 +28,7 @@ import numpy as np
 from .errors import BridgeUnderflowError, ResolutionError, TruncationError
 from .heat_kernel import (
     KernelParams,
+    _frozen,
     ball_mass,
     cached_radial_law,
     density,
@@ -167,6 +168,18 @@ def sample_skeleton(params: KernelParams, epochs, start: PAdicScalar, rng,
     return PathSkeleton(params, tuple(times), tuple(values))
 
 
+def skeleton_stays(params: KernelParams, T: float, r: int, steps: int, count: int,
+                   rng) -> np.ndarray:
+    """Whether each of count skeletons from 0 on the grid T k/steps,
+    k = 1..steps, stays in the ball of radius p^r.
+
+    By the ultrametric inequality every position stays in the ball exactly
+    when every increment does, so only the increment radii are drawn.
+    """
+    m = increment_law(params, T / steps).sample_exponents(as_generator(rng), count * steps)
+    return (m.reshape(count, steps) <= r).all(axis=1)
+
+
 def sample_overshoot(params: KernelParams, gen: np.random.Generator) -> int:
     """Number of radius levels jumped past the current ball (k >= 1)."""
     return int(gen.geometric(1.0 - params.p ** (-params.b)))
@@ -213,18 +226,11 @@ def sup_norm_exceeds(path: EventPath, r: int) -> bool:
 _AROUND_X0, _AROUND_X1, _EQUAL_SPHERES, _DIAGONAL, _DEEP_X0, _DEEP_X1 = range(6)
 
 
-@lru_cache(maxsize=None)
-def _label(kind: int, level: int) -> tuple[int, int]:
-    """One shared (kind, level) tuple, so the cached class tables hold only
-    references to their labels: a 30-s kernel_bridge benchmark run on a
-    2-core VM peaks at 43.7 MiB with it and 45.4 MiB without."""
-    return kind, level
-
-
 @lru_cache(maxsize=1 << 16)
 def _bridge_classes(params: KernelParams, tau0: float, tau1: float,
                     delta: int | None):
-    """Class labels and cumulative masses for the conditional midpoint law.
+    """Class labels, an (n, 2) array of (kind, level) rows, and cumulative
+    masses for the conditional midpoint law.
 
     A class is a sphere around x0 or x1 (or both), weighted by the product
     of the two analytic densities over the union of the increment laws'
@@ -243,7 +249,7 @@ def _bridge_classes(params: KernelParams, tau0: float, tau1: float,
 
     def add(kind: int, level: int, w: float):
         if w > 0.0:
-            labels.append(_label(kind, level))
+            labels.append((kind, level))
             weights.append(w)
 
     def both(j: int) -> float:  # both legs land on the sphere p^j
@@ -268,8 +274,8 @@ def _bridge_classes(params: KernelParams, tau0: float, tau1: float,
             add(_EQUAL_SPHERES, delta, d0_delta * d1_delta * mu_free)
         for j in range(delta + 1, hi + 1):
             add(_DIAGONAL, j, both(j))
-    cum = np.cumsum(weights)
-    return tuple(labels), cum
+    table = np.array(labels, dtype=np.int64).reshape(-1, 2)
+    return _frozen(table), _frozen(np.cumsum(weights))
 
 
 def _bridge_point(params: KernelParams, s0: float, x0: PAdicScalar,
@@ -285,7 +291,7 @@ def _bridge_point(params: KernelParams, s0: float, x0: PAdicScalar,
         )
     idx = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
     idx = min(idx, len(labels) - 1)
-    kind, level = labels[idx]
+    kind, level = map(int, labels[idx])
     if kind == _DEEP_X0 or kind == _DEEP_X1:
         return uniform_ball(gen, p, Ball(x0 if kind == _DEEP_X0 else x1, level), precision)
     if kind == _AROUND_X0 or kind == _DIAGONAL:
@@ -473,7 +479,7 @@ def _bridge_class_draws(params: KernelParams, times: np.ndarray, nodes, delta: n
                 "conditional bridge mass underflows; endpoints too far for horizon"
             )
         idx = np.searchsorted(cum, u[group] * cum[-1], side="right")
-        table = np.array(labels)[np.minimum(idx, len(labels) - 1)]
+        table = labels[np.minimum(idx, len(labels) - 1)]
         kind[group], level[group] = table[:, 0], table[:, 1]
     # a deep class is a Haar-uniform point of its ball: a sphere a geometric
     # number of levels down

@@ -62,6 +62,8 @@ class TestExit:
         se = float(rows["event_mc"][5])
         assert se == pytest.approx(math.sqrt(analytic * (1 - analytic) / 3000), rel=1e-9)
         assert abs(mc - analytic) <= 3 * se
+        sk, sk_se = float(rows["skeleton_mc"][4]), float(rows["skeleton_mc"][5])
+        assert abs(sk - analytic) <= 3 * sk_se
 
 
 class TestSample:

@@ -25,6 +25,7 @@ from adelic_diffusion import (
     ball_mass,
     density,
     density_center,
+    eval_sb,
     fk_expectation,
     fk_expectation_pair,
     fk_kernel,
@@ -43,6 +44,13 @@ B = 1.0
 OM = SimpleAdelicSB.vacuum()
 V0 = SimplePotential.zero()
 VPOT = SimplePotential.of({2: (0.7, SBFunction.vacuum(2))})
+# 1_{B_-2(1)} + 2 * 1_{B_-1(4)} at 3 from x_3 = 0: both balls lie on the unit
+# sphere, so a path landing there is in each ball on a share of the sphere
+X3 = AdelicPoint.of({3: PAdicScalar.zero(3)})
+ON_SPHERE3 = SimpleAdelicSB.of({3: SBFunction(3, (
+    (Ball(PAdicScalar.from_int(1, 3), -2), 1.0 + 0j),
+    (Ball(PAdicScalar.from_int(4, 3), -1), 2.0 + 0j),
+))})
 
 
 class TestActionIntegral:
@@ -129,14 +137,31 @@ class TestFreePropagate:
 
 class TestFkExpectation:
     def test_free_reduction_within_3se(self, run_chunks_calls):
-        # the factor at 2 is sampled; the vacuum primes 3..11 fold exactly
-        x = AdelicPoint.resolved_zeros(1)
-        alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))})
-        req = FKRequest(SIG, B, 1.0, x, alpha_f, V0, 30_000, 5, seed=704)
-        est = fk_expectation(req)
-        fp = free_propagate(SIG, B, 1.0, alpha_f, x, 5)
-        assert run_chunks_calls
-        assert abs(est.value.real - fp.value.real) <= 3 * est.std_error
+        # first: the factor at 2 is sampled, the vacuum primes 3..11 fold
+        # exactly; second: paths on the unit sphere at 3 take its Haar shares
+        at_2 = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))})
+        cases = ((AdelicPoint.resolved_zeros(1), at_2, 1.0, 5, 30_000, 704),
+                 (X3, ON_SPHERE3, 1.5, 2, 100_000, 77))
+        for x, alpha_f, t, N, n, seed in cases:
+            est = fk_expectation(FKRequest(SIG, B, t, x, alpha_f, V0, n, N, seed=seed))
+            fp = free_propagate(SIG, B, t, alpha_f, x, N)
+            assert abs(est.value.real - fp.value.real) <= 3 * est.std_error
+        assert len(run_chunks_calls) == len(cases)
+
+    def test_collision_sphere_takes_haar_share(self):
+        from adelic_diffusion.feynman_kac import _compile_plans, _endpoint_factor
+
+        req = FKRequest(SIG, B, 1.5, X3, ON_SPHERE3, V0, 1, 2, seed=1)
+        plan, = [plan for plan in _compile_plans(req) if not plan.folds]
+        values = _endpoint_factor(plan, RngStream(731).generator(), 20_000)
+        m = plan.law.sample_exponents(RngStream(731).generator(), 20_000)
+        # the balls are unions of classes mod 9: average over the six unit classes
+        units = [PAdicScalar.from_int(u, 3) for u in range(9) if u % 3]
+        share = sum(eval_sb(plan.alpha_f, plan.start + u) for u in units) / len(units)
+        assert share == pytest.approx(1 / 6 + 2 * (3 / 6), rel=1e-15)
+        assert (m == 0).sum() > 100
+        assert values[m == 0] == pytest.approx(share, rel=1e-14)
+        assert not values[m != 0].any()
 
     def test_damping_below_free(self):
         strong = SimplePotential.of({2: (8.0, SBFunction.vacuum(2))})
@@ -287,12 +312,19 @@ class TestFkExpectation:
     def test_unresolved_non_vacuum_factor_is_one_rule(self):
         ball = Ball(PAdicScalar.from_int(1, 3), -1)
         alpha_f = SimpleAdelicSB.of({3: SBFunction.indicator(ball, 1.0)})
+        pot = SimplePotential.of({3: (5.0, SBFunction.indicator(ball))})
         x = AdelicPoint.zero()
+        # kernel mode: x_3 unresolved, y_3 = 1/3 outside Z_3, so |x_3 - y_3| is known
+        x2 = AdelicPoint.resolved_zeros(1)
+        y = AdelicPoint.of({2: PAdicScalar.zero(2),
+                            3: PAdicScalar.from_rational(Fraction(1, 3), 3)})
         calls = (
             lambda: alpha_f.eval(x),
             lambda: free_propagate(SIG, B, 1.0, alpha_f, x, 4),
             lambda: fk_expectation(FKRequest(SIG, B, 1.0, x, alpha_f, V0, 10, 4, seed=723)),
             lambda: adelic_vladimirov_apply(SIG, B, alpha_f, x, 4),
+            lambda: fk_expectation(FKRequest(SIG, B, 1.0, x, OM, pot, 10, 4, seed=723)),
+            lambda: fk_kernel(FKRequest(SIG, B, 1.0, x2, OM, pot, 10, 2, seed=723, y=y)),
         )
         for call in calls:
             with pytest.raises(PrecisionError,

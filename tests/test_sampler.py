@@ -30,7 +30,12 @@ from adelic_diffusion import (
 )
 from adelic_diffusion.feynman_kac import _bridge_action
 from adelic_diffusion.padic import Ball, _normalised
-from adelic_diffusion.sampler import _bridge_tree, bridge_class_total, sample_bridges
+from adelic_diffusion.sampler import (
+    _bridge_tree,
+    bridge_class_total,
+    sample_bridges,
+    skeleton_stays,
+)
 from adelic_diffusion.schwartz import SBFunction, eval_sb
 from conftest import fine_skeleton_exit_landings, tv_distance
 
@@ -119,6 +124,21 @@ class TestSkeleton:
             for k in set(counts) | set(ref)
         )
         assert tv < 0.02
+
+    def test_radius_only_stays_match_skeletons_in_law(self):
+        # 400 paths x 16 epochs each way, at pre-registered seeds
+        for params, T, r, seed in ((KP, 1.0, 0, 133), (KernelParams(3, 1.0, 1.0), 0.7, 1, 134)):
+            fast = skeleton_stays(params, T, r, 16, 400, RngStream(seed).child(1)).mean()
+            gen = RngStream(seed).child(2).generator()
+            epochs = [T * k / 16 for k in range(1, 17)]
+            zero = PAdicScalar.zero(params.p)
+            slow = np.mean([
+                all(v.is_zero() or v.abs_exp() <= r
+                    for v in sample_skeleton(params, epochs, zero, gen, 12).values)
+                for _ in range(400)
+            ])
+            se = math.sqrt((fast * (1 - fast) + slow * (1 - slow)) / 400)
+            assert 0 < se and abs(fast - slow) <= 3 * se
 
     def test_epoch_validation(self):
         with pytest.raises(ValueError):
@@ -270,7 +290,7 @@ class TestBridge:
 
         l1, c1 = _bridge_classes(KP, 0.3, 0.7, None)
         l2, c2 = _bridge_classes(KP, 0.7, 0.3, None)
-        assert l1 == l2
+        np.testing.assert_array_equal(l1, l2)
         np.testing.assert_allclose(np.diff(c1, prepend=0), np.diff(c2, prepend=0),
                                    rtol=1e-12)
 
@@ -321,7 +341,7 @@ class TestBridge:
         kp3 = KernelParams(3, 1.0, 1.0)
         x1 = PAdicScalar.from_int(1, 3, 8)
         labels, cum = _bridge_classes(kp3, 0.5, 0.5, 0)
-        idx = labels.index((_EQUAL_SPHERES, 0))
+        idx = labels.tolist().index([_EQUAL_SPHERES, 0])
         u = 0.5 * ((cum[idx - 1] if idx else 0.0) + cum[idx]) / cum[-1]
 
         class StuckGenerator(np.random.Generator):
@@ -460,7 +480,7 @@ class TestBridgeEngine:
         kp3 = KernelParams(3, 1.0, 1.0)
         x1 = PAdicScalar.from_int(1, 3, 8)
         labels, cum = _bridge_classes(kp3, 0.5, 0.5, 0)
-        idx = labels.index((_EQUAL_SPHERES, 0))
+        idx = labels.tolist().index([_EQUAL_SPHERES, 0])
         u = 0.5 * ((cum[idx - 1] if idx else 0.0) + cum[idx]) / cum[-1]
 
         class StuckGenerator(np.random.Generator):
