@@ -15,8 +15,11 @@ Estimates run over adelic bundles truncated at N primes:
   reversal-symmetric in law.  `sample_bridge`, one path of `PAdicScalar`s,
   is the digit-exact oracle it is tested against.
 
-Paths are assigned to fixed-size chunks keyed by (seed, chunk index), so
-results are bit-identical for any worker count.
+Each sampled prime draws from its own (chunk, prime) stream, and the path
+measure is a product over primes, so every estimate is the product of the
+independent per-prime means, with the plug-in SE of that product.  Paths are
+assigned to fixed-size chunks keyed by (seed, chunk index), so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -127,6 +130,20 @@ class FKEstimate:
 # -- action integrals --------------------------------------------------------
 
 
+def _require_constant_at(resolution: int, f: SBFunction) -> None:
+    if resolution > f.min_radius_exp():
+        raise ResolutionError("event path coarser than the potential constancy scale")
+
+
+def _path_action(path: EventPath, tau: float, f: SBFunction, t: float) -> float:
+    """tau * int_0^t f(X_s) ds along an event path already known to be at
+    f's constancy scale."""
+    total = 0.0
+    for duration, pos in path.segments(min(t, path.horizon)):
+        total += duration * eval_sb(f, pos).real
+    return tau * total
+
+
 def action_integral(path: EventPath, v: SimplePotential, t: float) -> float:
     """Exact time integral of the potential component along an event path,
     which needs the potential constant at the path resolution."""
@@ -134,12 +151,8 @@ def action_integral(path: EventPath, v: SimplePotential, t: float) -> float:
     if comp is None:
         return 0.0
     tau, f = comp
-    if path.resolution > f.min_radius_exp():
-        raise ResolutionError("event path coarser than the potential constancy scale")
-    total = 0.0
-    for duration, pos in path.segments(min(t, path.horizon)):
-        total += duration * eval_sb(f, pos).real
-    return tau * total
+    _require_constant_at(path.resolution, f)
+    return _path_action(path, tau, f, t)
 
 
 def bundle_action(bundle_components, v: SimplePotential, t: float) -> float:
@@ -255,10 +268,24 @@ def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
             require_resolved(f, start)
         if start is None:
             start = PAdicScalar.zero(p)
-        plan = _PrimePlan(i - 1, params, start, alpha_f, v_term, resolution_for(*fns), None)
+        r_min = resolution_for(*fns)
+        if v_term is not None:
+            # event paths are tested against every ball, so whether a membership
+            # is decidable must not depend on where the draws land; a
+            # potential's balls are canonical, so their centres are known already
+            _require_known_to(start, r_min, "start")
+            for ball, _ in alpha_f.terms:
+                _require_known_to(ball.center, ball.radius_exp, "ball centre")
+        plan = _PrimePlan(i - 1, params, start, alpha_f, v_term, r_min, None)
         plans.append(plan if v_term is not None or plan.folds
                      else replace(plan, law=increment_law(params, req.t)))
     return tuple(plans)
+
+
+def _require_known_to(x: PAdicScalar, radius_exp: int, what: str) -> None:
+    if x.known_mod_exp() < -radius_exp:
+        raise PrecisionError(f"{what} at prime {x.prime} is known mod p^{x.known_mod_exp()}, "
+                             f"but radius p^{radius_exp} needs it mod p^{-radius_exp}")
 
 
 def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -282,34 +309,33 @@ def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> 
     return values
 
 
-def _event_factor(plan: _PrimePlan, v: SimplePotential, t: float,
-                  gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _event_factor(plan: _PrimePlan, t: float, gen: np.random.Generator,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
     """(action, observable factor) for primes carrying a potential term."""
+    tau, f = plan.v_term
+    _require_constant_at(plan.r_min, f)
     actions = np.zeros(count)
     values = np.zeros(count, dtype=complex)
     for j in range(count):
         path = sample_event_path(plan.params, plan.start, t, plan.r_min, gen)
-        actions[j] = action_integral(path, v, t)
+        actions[j] = _path_action(path, tau, f, t)
         values[j] = eval_sb(plan.alpha_f, path.end_position())
     return actions, values
 
 
 def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
+    """Per-prime columns, shape (count, 2, primes): f_p e^{-A_p} and f_p."""
     stream = RngStream(req.seed)
-    weighted = np.ones(count, dtype=complex)
-    plain = np.ones(count, dtype=complex)
-    actions = np.zeros(count)
-    for plan in plans:
+    out = np.empty((count, 2, len(plans)), dtype=complex)
+    for col, plan in enumerate(plans):
         gen = stream.child(chunk_idx, plan.slot).generator()
         if plan.v_term is None:
-            vals = _endpoint_factor(plan, gen, count)
+            vals = out[:, 0, col] = _endpoint_factor(plan, gen, count)
         else:
-            acts, vals = _event_factor(plan, req.v, req.t, gen, count)
-            actions += acts
-        weighted *= vals
-        plain *= vals
-    weighted = weighted * np.exp(-actions)
-    return np.stack([weighted, plain], axis=1)
+            acts, vals = _event_factor(plan, req.t, gen, count)
+            out[:, 0, col] = vals * np.exp(-acts)
+        out[:, 1, col] = vals
+    return out
 
 
 def _fk_chunk_entry(args):
@@ -340,13 +366,74 @@ def _run_chunks(chunk_fn, req: FKRequest, plans) -> np.ndarray:
     return np.concatenate([results[i] for i, _ in sizes], axis=0)
 
 
-def _mean_se(values: np.ndarray) -> tuple[complex, float]:
+# -- reduction over primes ----------------------------------------------------
+# Per-prime means are independent (one stream per chunk and prime), so every
+# estimate is their product, with the plug-in of its exact variance
+# Var(prod m_p) = prod(|mu_p|^2 + v_p/n) - prod |mu_p|^2 (Goodman 1960).
+
+
+def _mean_var(values: np.ndarray) -> tuple[complex, float]:
+    """Sample mean of one column and its plug-in variance s^2 / n."""
     n = len(values)
     mean = complex(np.mean(values))
     if n < 2:
-        return mean, float("inf")
-    var = float(np.var(values.real, ddof=1) + np.var(values.imag, ddof=1))
-    return mean, math.sqrt(var / n)
+        return mean, math.inf
+    return mean, float(np.var(values.real, ddof=1) + np.var(values.imag, ddof=1)) / n
+
+
+def _cov(a: np.ndarray, b: np.ndarray) -> complex:
+    """Plug-in covariance of two column means, E[(a - a_bar) conj(b - b_bar)] / n."""
+    n = len(a)
+    return complex(np.sum((a - np.mean(a)) * np.conj(b - np.mean(b)))) / ((n - 1) * n)
+
+
+def _product_mean_se(columns: np.ndarray) -> tuple[complex, float]:
+    """Product of the column means of an (n, k) array of independent
+    per-prime values, and its SE; one column gives its mean and sqrt(s^2/n).
+
+    V = prod(a_p + e_p) - prod a_p with a_p = |m_p|^2 and e_p = s_p^2/n is
+    carried with A = prod a_p as V <- V (a_p + e_p) + A e_p, A <- A a_p, so
+    nothing cancels.  The product starts from the first mean, so signed
+    zeros survive.
+    """
+    mean, var = _mean_var(columns[:, 0])
+    sq = abs(mean) ** 2
+    for col in columns[:, 1:].T:
+        m, e = _mean_var(col)
+        a = abs(m) ** 2
+        mean *= m
+        var = var * (a + e) + sq * e
+        sq *= a
+    return mean, math.sqrt(var) if len(columns) > 1 else math.inf
+
+
+def _difference_se(plain: np.ndarray, weighted: np.ndarray) -> float:
+    """SE of prod P_bar_p - prod W_bar_p over (n, k) per-prime columns, the
+    two columns of a prime sharing paths and distinct primes independent.
+
+    Carries X = prod P_bar and D = prod P_bar - prod W_bar through their
+    means, variances and covariance.  Each prime maps D to X Delta + D W,
+    with Delta = P - W read from its own difference column, so nothing
+    cancels, and one sampled prime gives that column's sqrt(s^2/n).
+    """
+    if len(plain) < 2:
+        return math.inf
+    delta = plain - weighted
+    x, vx = _mean_var(plain[:, 0])
+    d, vd = _mean_var(delta[:, 0])
+    cxd = _cov(plain[:, 0], delta[:, 0])  # Cov(X, D)
+    for p_col, w_col, d_col in zip(plain.T[1:], weighted.T[1:], delta.T[1:]):
+        (p, ep), (w, ew), (dl, ed) = _mean_var(p_col), _mean_var(w_col), _mean_var(d_col)
+        x2, xd = abs(x) ** 2 + vx, x * d.conjugate() + cxd  # E|X|^2, E[X conj D]
+        vd, cxd, vx = (
+            x2 * ed + (abs(d) ** 2 + vd) * ew + abs(dl) ** 2 * vx + abs(w) ** 2 * vd
+            + 2 * (xd * _cov(d_col, w_col) + dl * w.conjugate() * cxd).real,
+            vx * p * dl.conjugate() + x2 * _cov(p_col, d_col) + cxd * p * w.conjugate()
+            + xd * _cov(p_col, w_col),
+            vx * (abs(p) ** 2 + ep) + abs(x) ** 2 * ep,
+        )
+        x, d = x * p, x * dl + d * w
+    return math.sqrt(vd)
 
 
 def fk_expectation(req: FKRequest) -> FKEstimate:
@@ -364,10 +451,12 @@ def fk_expectation(req: FKRequest) -> FKEstimate:
 def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     """(damped estimate, free estimate, se of the damping correction).
 
-    Both estimates share paths, so their difference estimates
-    E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance.  The path
-    measure is a product over primes, so the folded primes' exact factor
-    scales the mean and SEs of the sampled ones, which keep their streams.
+    Each estimate is the product of per-prime means: f_p e^{-A_p} for the
+    damped one, f_p for the free one.  Both share paths, so their difference
+    estimates E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance;
+    its SE is the plug-in variance of prod P_bar_p - prod W_bar_p with the
+    primes independent.  The folded primes' exact factor scales the means
+    and SEs of the sampled ones, which keep their streams.
     """
     plans = _compile_plans(req)
     cert = tail_certificate(req.sigma, req.b, req.t, req.truncation)
@@ -382,9 +471,10 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
         exact = FKEstimate(complex(folded), 0.0, req.n_paths, cert)
         return exact, exact, 0.0
     data = _run_chunks(_fk_exact_chunk, req, tuple(sampled))
-    w_mean, w_se = _mean_se(data[:, 0])
-    p_mean, p_se = _mean_se(data[:, 1])
-    _, d_se = _mean_se(data[:, 1] - data[:, 0])
+    weighted, plain = data[:, 0], data[:, 1]
+    w_mean, w_se = _product_mean_se(weighted)
+    p_mean, p_se = _product_mean_se(plain)
+    d_se = _difference_se(plain, weighted)
     # componentwise, so a factor of exactly 1 keeps every bit (signed zeros too)
     w_mean, p_mean = (complex(m.real * folded, m.imag * folded) for m in (w_mean, p_mean))
     scale = abs(folded)
@@ -476,24 +566,10 @@ def _bridge_plans(req: FKRequest) -> tuple[_BridgePlan, ...]:
     return tuple(plans)
 
 
-def fk_kernel(req: FKRequest) -> FKEstimate:
-    """Kernel estimate K_t(x, y) = E_bridge[e^{-int v}] * rho(t, x - y).
-
-    The density factor is analytic (exact at the truncation); only the
-    bridge expectation carries Monte Carlo error.  The trapezoid action
-    makes the estimator's law invariant under swapping x and y.
-    """
-    dens = _kernel_density_factor(req)
-    plans = _bridge_plans(req)
-    if not plans:
-        return FKEstimate(
-            complex(dens), 0.0, req.n_paths,
-            tail_certificate(req.sigma, req.b, req.t, req.truncation),
-            density_factor=dens, bridge_factor=1.0,
-        )
-    data = _run_chunks(_kernel_chunk, req, plans)
-    per_path = np.prod(data, axis=1)
-    mean, se = _mean_se(per_path.astype(complex))
+def _kernel_estimate(req: FKRequest, dens: float, columns: np.ndarray | None) -> FKEstimate:
+    """Density times the product of the per-prime bridge means; exact (SE 0)
+    without columns, where no prime carries a potential."""
+    mean, se = _product_mean_se(columns.astype(complex)) if columns is not None else (1 + 0j, 0.0)
     return FKEstimate(
         value=complex(mean.real * dens),
         std_error=se * dens,
@@ -504,32 +580,38 @@ def fk_kernel(req: FKRequest) -> FKEstimate:
     )
 
 
-def fk_kernel_product(req: FKRequest) -> tuple[FKEstimate, tuple]:
-    """Product-form kernel: independent per-prime bridge factors multiplied.
+def fk_kernel(req: FKRequest) -> FKEstimate:
+    """Kernel estimate K_t(x, y) = E_bridge[e^{-int v}] * rho(t, x - y).
 
-    For a simple potential the kernel factorizes over primes, so this
-    estimates the same quantity as fk_kernel with independent streams; the
-    standard error combines per-prime relative errors in quadrature.
+    The density factor is analytic (exact at the truncation); only the
+    bridge expectation carries Monte Carlo error.  For a simple potential
+    the bridge measure is a product over primes, so the bridge factor is
+    the product of the per-prime means over the same draws.  The trapezoid
+    action makes the estimator's law invariant under swapping x and y.
     """
     dens = _kernel_density_factor(req)
+    plans = _bridge_plans(req)
+    data = _run_chunks(_kernel_chunk, req, plans) if plans else None
+    return _kernel_estimate(req, dens, data)
+
+
+def fk_kernel_product(req: FKRequest) -> tuple[FKEstimate, tuple]:
+    """fk_kernel's estimate from independently salted per-prime streams,
+    with the per-prime (p, bridge mean, SE) factors.
+
+    It estimates the same quantity as fk_kernel with the same reduction, so
+    the two are an independent-stream cross-check.
+    """
+    dens = _kernel_density_factor(req)
+    plans = _bridge_plans(req)
+    columns = [_run_chunks(_kernel_chunk, req, (replace(plan, salt=salt, slot=0),))
+               for salt, plan in enumerate(plans, start=1)]
     factors = []
-    total = dens
-    rel_var = 0.0
-    for salt, plan in enumerate(_bridge_plans(req), start=1):
-        data = _run_chunks(_kernel_chunk, req, (replace(plan, salt=salt, slot=0),))
-        mean, se = _mean_se(data[:, 0].astype(complex))
+    for plan, col in zip(plans, columns):
+        mean, se = _product_mean_se(col.astype(complex))
         factors.append((plan.params.p, mean.real, se))
-        total *= mean.real
-        rel_var += (se / mean.real) ** 2
-    est = FKEstimate(
-        value=total,
-        std_error=abs(total) * math.sqrt(rel_var),
-        n_paths=req.n_paths,
-        tail_certificate=tail_certificate(req.sigma, req.b, req.t, req.truncation),
-        density_factor=dens,
-        bridge_factor=total / dens if dens else None,
-    )
-    return est, tuple(factors)
+    data = np.concatenate(columns, axis=1) if columns else None
+    return _kernel_estimate(req, dens, data), tuple(factors)
 
 
 # -- semigroup and generator checks ------------------------------------------

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from adelic_diffusion import (
@@ -309,6 +310,45 @@ class TestFkExpectation:
         assert pooled.value == serial.value
         assert pooled.std_error == serial.std_error
 
+    def test_coarse_centre_under_potential_fails_before_sampling(self, monkeypatch):
+        # 1_{B_-2(c)} with c known mod 3 only: membership of a path ending in
+        # 1 + 3Z_3 reads c's unknown second digit, so a prime carrying a
+        # potential must reject the ball for every seed and path count
+        from adelic_diffusion import feynman_kac
+
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(feynman_kac, "_run_chunks", no_sampling)
+        coarse = Ball(PAdicScalar.from_digits(3, 0, [1]), -2)
+        alpha_f = SimpleAdelicSB.of({3: SBFunction.indicator(coarse)})
+        pot = SimplePotential.of({3: (0.5, SBFunction.vacuum(3))})
+        for seed in (1, 2, 3, 4):
+            for n in (10, 2000):
+                req = FKRequest(SIG, B, 1.5, X3, alpha_f, pot, n, 2, seed=seed)
+                with pytest.raises(PrecisionError, match="ball centre .* known mod p\\^1"):
+                    fk_expectation(req)
+        # the same for a start known mod 3 under a finer ball: without the check,
+        # seeds 1 and 4 returned 0.0 at t = 40 and seeds 2 and 3 raised
+        fine = SimpleAdelicSB.of({3: SBFunction.indicator(Ball(PAdicScalar.from_int(1, 3), -2))})
+        x = AdelicPoint.of({3: PAdicScalar.from_digits(3, 0, [1])})
+        for seed in (1, 2, 3, 4):
+            req = FKRequest(SIG, B, 40.0, x, fine, pot, 10, 2, seed=seed)
+            with pytest.raises(PrecisionError, match="start .* known mod p\\^1"):
+                fk_expectation(req)
+        # a potential canonicalizes its balls, so it rejects the same ball when
+        # built, and kernel mode (which takes no observable) never meets one
+        with pytest.raises(PrecisionError, match="known too coarsely"):
+            SimplePotential.of({3: (0.5, SBFunction.indicator(coarse))})
+
+    def test_coarse_centre_at_potential_free_prime_takes_haar_share(self):
+        # no potential at 3: the endpoint factor reads only the radius, never c's digits
+        coarse = Ball(PAdicScalar.from_digits(3, 0, [1]), -2)
+        alpha_f = SimpleAdelicSB.of({3: SBFunction.indicator(coarse)})
+        est = fk_expectation(FKRequest(SIG, B, 1.5, X3, alpha_f, V0, 2000, 2, seed=3))
+        assert est.std_error > 0
+        assert 0 < est.value.real < 1
+
     def test_unresolved_non_vacuum_factor_is_one_rule(self):
         ball = Ball(PAdicScalar.from_int(1, 3), -1)
         alpha_f = SimpleAdelicSB.of({3: SBFunction.indicator(ball, 1.0)})
@@ -330,6 +370,84 @@ class TestFkExpectation:
             with pytest.raises(PrecisionError,
                                match="non-vacuum factor at prime 3 needs a resolved point"):
                 call()
+
+
+class TestProductReduction:
+    """Estimates are products of independent per-prime means."""
+
+    # observables at 2 and 3 from x = 0; the one at 3 has a ball on the unit sphere
+    F2 = SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))
+    F3 = SBFunction(3, ((Ball(PAdicScalar.zero(3), -1), 1.0 + 0j),
+                        (Ball(PAdicScalar.from_int(1, 3), -1), 2.0 + 0j)))
+
+    def test_one_column_is_mean_se(self):
+        from adelic_diffusion.feynman_kac import _product_mean_se
+
+        def mean_se(values):  # the per-path reduction before per-prime means
+            n = len(values)
+            mean = complex(np.mean(values))
+            if n < 2:
+                return mean, float("inf")
+            var = float(np.var(values.real, ddof=1) + np.var(values.imag, ddof=1))
+            return mean, math.sqrt(var / n)
+
+        gen = np.random.default_rng(16_000)
+        columns = [
+            gen.random(997) + 1j * gen.standard_normal(997),
+            np.where(gen.random(500) < 0.3, gen.exponential(size=500), 0.0).astype(complex),
+            np.full(40, complex(-0.0, -0.0)),
+            np.full(40, complex(-0.0, 0.0)),
+            np.array([complex(-0.0, -0.0)]),
+            np.array([0.25 - 0.5j]),
+        ]
+        for col in columns:
+            got, ref = _product_mean_se(col[:, None]), mean_se(col)
+            assert repr((got[0].real, got[0].imag, got[1])) == \
+                repr((ref[0].real, ref[0].imag, ref[1]))
+
+    def test_product_se_not_above_joint_on_same_columns(self):
+        from adelic_diffusion.feynman_kac import _compile_plans, _fk_exact_chunk, _product_mean_se
+
+        pot = SimplePotential.of({2: (0.8, SBFunction.indicator(Ball(PAdicScalar.zero(2), -1)))})
+        x = AdelicPoint.resolved_zeros(3)
+        alpha_f = SimpleAdelicSB.of({2: self.F2, 3: self.F3, 5: SBFunction.indicator(
+            Ball(PAdicScalar.zero(5), -1))})
+        req = FKRequest(SIG, B, 2.0, x, alpha_f, pot, 4000, 3, seed=16_050)
+        plans = _compile_plans(req)
+        assert not any(plan.folds for plan in plans)
+        data = _fk_exact_chunk(req, plans, 0, req.n_paths)
+        for columns in (data[:, 0], data[:, 1]):  # weighted and plain, all >= 0 and real
+            assert (columns.real >= 0).all() and not columns.imag.any()
+            _, product_se = _product_mean_se(columns)
+            _, joint_se = _product_mean_se(np.prod(columns, axis=1, keepdims=True))
+            assert 0 < product_se <= joint_se
+
+    def test_calibrated_against_free_propagation(self):
+        x = AdelicPoint.resolved_zeros(2)
+        alpha_f = SimpleAdelicSB.of({2: self.F2, 3: self.F3})
+        exact = free_propagate(SIG, B, 2.0, alpha_f, x, 2).value.real
+        z = []
+        for k in range(200):
+            est = fk_expectation(FKRequest(SIG, B, 2.0, x, alpha_f, V0, 400, 2,
+                                           seed=16_300 + k))
+            z.append((est.value.real - exact) / est.std_error)
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+        assert abs(np.mean(z)) <= 0.25
+
+    def test_correction_se_with_two_potential_primes(self):
+        pot = SimplePotential.of({
+            2: (0.8, SBFunction.indicator(Ball(PAdicScalar.zero(2), -1))),
+            3: (0.6, SBFunction.indicator(Ball(PAdicScalar.zero(3), -1))),
+        })
+        x = AdelicPoint.resolved_zeros(2)
+        alpha_f = SimpleAdelicSB.of({2: self.F2})
+        corrections, ses = [], []
+        for k in range(100):
+            damped, plain, corr_se = fk_expectation_pair(
+                FKRequest(SIG, B, 1.0, x, alpha_f, pot, 200, 2, seed=16_100 + k))
+            corrections.append(plain.value.real - damped.value.real)
+            ses.append(corr_se)
+        assert 0.8 <= np.std(corrections, ddof=1) / np.mean(ses) <= 1.2
 
 
 class TestKernels:
