@@ -38,7 +38,6 @@ from .feynman_kac import (
     fk_expectation,
     fk_expectation_pair,
     fk_kernel,
-    fk_kernel_product,
     free_propagate,
     generator_check,
     semigroup_check_mc,

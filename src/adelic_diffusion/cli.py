@@ -9,9 +9,10 @@ run can be reproduced bit-exactly from its manifest.
 Flags and config keys are one namespace: a flag is stored under its key
 on top of the config (-T is "T", -N "truncation", --n-paths "n_paths",
 --k-max "k_max", --full "full", --inject-alpha-bug "inject_alpha_bug").
-Only exit, sample, exit-count and fk draw random numbers, so only they
-take --seed.  fk's kernel mode (--endpoint) takes no observable, and
---product needs --endpoint.
+A few keys have no flag: bridge_steps (fk), the sigma_* keys (fk and
+exit-count) and epochs (sample).  A key the command does not read is a
+config error.  Only exit, sample, exit-count and fk draw random numbers, so
+only they take --seed.  fk's kernel mode (--endpoint) takes no observable.
 
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 numeric failure.
 """
@@ -48,7 +49,7 @@ from .errors import (
     TruncationError,
     ValuationRangeError,
 )
-from .feynman_kac import FKRequest, fk_expectation, fk_kernel, fk_kernel_product, free_propagate
+from .feynman_kac import FKRequest, fk_expectation, fk_kernel, free_propagate
 from .heat_kernel import (
     KernelParams,
     alpha,
@@ -129,6 +130,9 @@ def _doc(cfg: RunConfig, key: str):
     return src
 
 
+_SIGMA_KEYS = ("sigma_explicit", "sigma_tail_coeff", "sigma_tail_power")
+
+
 def _sigma_from_config(cfg: RunConfig) -> SigmaSequence:
     explicit = tuple(float(s) for s in cfg.get("sigma_explicit", ()))
     coeff = float(cfg.get("sigma_tail_coeff", 0.0 if explicit else 1.0))
@@ -205,14 +209,16 @@ _KERNEL = (click.option("--prime", "-p", type=int, default=None), _B,
            click.option("--sigma", type=float, default=None))
 
 
-def _command(name: str, schema: str, header: list[str], *options):
+def _command(name: str, schema: str, header: list[str], *options, config_keys=()):
     """Register `body(cfg, write)` as the command `name`.
 
     Besides `options` the command takes --config, -o and --format.  Every
     flag given is stored under its config key on top of the --config
     document, so the manifest echoes flags and config keys alike and a
-    re-run from it needs no flag.  `write(rows, derived)` writes the data
-    file and its manifest.  Numeric failures exit 3, config errors 2.
+    re-run from it needs no flag.  The config may hold only flag keys and
+    the flagless `config_keys` the body reads.  `write(rows, derived)`
+    writes the data file and its manifest.  Numeric failures exit 3, config
+    errors 2.
     """
 
     def register(body):
@@ -220,6 +226,9 @@ def _command(name: str, schema: str, header: list[str], *options):
             t0 = time.time()
             try:
                 cfg = _load_config(config, flags)
+                unknown = sorted(set(cfg) - set(flags) - set(config_keys))
+                if unknown:
+                    raise ConfigError(f"unknown config keys for {name}: {', '.join(unknown)}")
                 body(cfg, partial(_finish, name, cfg, schema, header, t0=t0))
             except (TruncationError, BridgeUnderflowError, ValuationRangeError) as exc:
                 click.echo(f"numeric failure: {exc}", err=True)
@@ -299,7 +308,7 @@ def exit_cmd(cfg, write):
 @_command("sample", "sample_v1",
           ["path_id", "kind", "time", "prime", "valuation", "digits", "abs_exp"],
           _SEED, *_KERNEL, _HORIZON, _N_PATHS,
-          click.option("--resolution", type=int, default=None))
+          click.option("--resolution", type=int, default=None), config_keys=("epochs",))
 def sample_cmd(cfg, write):
     """Emit sampled paths (event records, or skeletons when epochs given)."""
     params = _params(cfg)
@@ -331,7 +340,7 @@ def sample_cmd(cfg, write):
 @_command("exit-count", "exit_count_v1",
           ["kind", "k", "value", "lo", "hi", "bound", "mc", "below_bound"],
           _SEED, _B, _HORIZON, _TRUNCATION, click.option("--k-max", type=int, default=None),
-          _N_PATHS)
+          _N_PATHS, config_keys=_SIGMA_KEYS)
 def exit_count_cmd(cfg, write):
     """Exit-count pmf with factorial bounds, moments, and Monte Carlo."""
     sigma = _sigma_from_config(cfg)
@@ -396,9 +405,8 @@ def operator_cmd(cfg, write):
           click.option("--point", type=click.Path(exists=True), default=None),
           click.option("--endpoint", type=click.Path(exists=True), default=None,
                        help="kernel mode: estimate K_t(x, y) for this y"),
-          click.option("--product", is_flag=True, default=None,
-                       help="also estimate the per-prime product form (needs --endpoint)"),
-          click.option("--workers", type=int, default=None))
+          click.option("--workers", type=int, default=None),
+          config_keys=("bridge_steps", *_SIGMA_KEYS))
 def fk_cmd(cfg, write):
     """Feynman-Kac expectation (and kernels, with --endpoint)."""
     sigma = _sigma_from_config(cfg)
@@ -416,8 +424,6 @@ def fk_cmd(cfg, write):
     x = point_from_json(pt_doc) if pt_doc else AdelicPoint.zero()
     y_doc = _doc(cfg, "endpoint")
     y = point_from_json(y_doc) if y_doc else None
-    if cfg.get("product") and y is None:
-        raise ConfigError("product mode needs an endpoint")
 
     N = cfg.need("truncation", int, max(
         4, x.max_active_index(),
@@ -437,17 +443,10 @@ def fk_cmd(cfg, write):
     else:
         kernels = [("kernel", fk_kernel(req))]
         if pot.components:
-            rev = fk_kernel(replace(req, x=y, y=x, seed=sd + 1))
-            kernels.append(("kernel_reversed", rev))
-        factors = ()
-        if cfg.get("product"):
-            pest, factors = fk_kernel_product(req)
-            kernels.append(("kernel_product", pest))
+            kernels.append(("kernel_reversed", fk_kernel(replace(req, x=y, y=x, seed=sd + 1))))
         for name, k in kernels:
             rows.append([name, k.value.real, k.value.imag, k.std_error, k.n_paths,
                          k.tail_certificate, k.density_factor, k.bridge_factor])
-        for p, mean, se in factors:
-            rows.append([f"bridge_factor_p{p}", mean, 0.0, se, n, "", "", ""])
     write(rows, {
         "truncation": N,
         "tail_certificate": tail_certificate(sigma, bb, tt, N),

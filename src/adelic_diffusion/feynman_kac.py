@@ -13,7 +13,7 @@ Estimates run over adelic bundles truncated at N primes:
   a p-adic integer window, and the action is a time-symmetric trapezoid
   over its ball memberships, so kernel estimates are exactly
   reversal-symmetric in law.  `sample_bridge`, one path of `PAdicScalar`s,
-  is the digit-exact oracle it is tested against.
+  is the digit-exact oracle it is tested against, one prime at a time.
 
 Each sampled prime draws from its own (chunk, prime) stream, and the path
 measure is a product over primes, so every estimate is the product of the
@@ -436,6 +436,34 @@ def _difference_se(plain: np.ndarray, weighted: np.ndarray) -> float:
     return math.sqrt(vd)
 
 
+def _sample_exact(req: FKRequest) -> tuple[float, float, np.ndarray | None]:
+    """(tail certificate, exact factor of the folded primes, per-prime chunk
+    columns of the sampled ones, or None where every prime folds).
+
+    Vacuum factors convolve to reals, so the folded factor is real.
+    """
+    plans = _compile_plans(req)
+    cert = tail_certificate(req.sigma, req.b, req.t, req.truncation)
+    folded, sampled = 1.0, []
+    for plan in plans:
+        if plan.folds:
+            xc = req.x.component(plan.params.p)
+            folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
+        else:
+            sampled.append(plan)
+    data = _run_chunks(_fk_exact_chunk, req, tuple(sampled)) if sampled else None
+    return cert, folded, data
+
+
+def _folded_estimate(req: FKRequest, cert: float, folded: float,
+                     columns: np.ndarray) -> FKEstimate:
+    """The product of the column means and its SE, scaled by the folded factor."""
+    mean, se = _product_mean_se(columns)
+    # componentwise, so a factor of exactly 1 keeps every bit (signed zeros too)
+    return FKEstimate(complex(mean.real * folded, mean.imag * folded), se * abs(folded),
+                      req.n_paths, cert)
+
+
 def fk_expectation(req: FKRequest) -> FKEstimate:
     """Unbiased estimate of (pi_t alpha)(x) truncated at N primes.
 
@@ -443,9 +471,13 @@ def fk_expectation(req: FKRequest) -> FKEstimate:
     free_propagate; with nothing else the estimate is exact, SE 0); other
     primes without a potential term one radius, its sphere point integrated
     out; primes with one event paths at the constancy scale, so the action
-    integral is exact.
+    integral is exact.  The estimate is the product of the per-prime means
+    of f_p e^{-A_p}, scaled by the folded factor.
     """
-    return fk_expectation_pair(req)[0]
+    cert, folded, data = _sample_exact(req)
+    if data is None:
+        return FKEstimate(complex(folded), 0.0, req.n_paths, cert)
+    return _folded_estimate(req, cert, folded, data[:, 0])
 
 
 def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
@@ -458,30 +490,15 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     primes independent.  The folded primes' exact factor scales the means
     and SEs of the sampled ones, which keep their streams.
     """
-    plans = _compile_plans(req)
-    cert = tail_certificate(req.sigma, req.b, req.t, req.truncation)
-    folded, sampled = 1.0, []  # vacuum factors convolve to reals
-    for plan in plans:
-        if plan.folds:
-            xc = req.x.component(plan.params.p)
-            folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
-        else:
-            sampled.append(plan)
-    if not sampled:
+    cert, folded, data = _sample_exact(req)
+    if data is None:
         exact = FKEstimate(complex(folded), 0.0, req.n_paths, cert)
         return exact, exact, 0.0
-    data = _run_chunks(_fk_exact_chunk, req, tuple(sampled))
     weighted, plain = data[:, 0], data[:, 1]
-    w_mean, w_se = _product_mean_se(weighted)
-    p_mean, p_se = _product_mean_se(plain)
-    d_se = _difference_se(plain, weighted)
-    # componentwise, so a factor of exactly 1 keeps every bit (signed zeros too)
-    w_mean, p_mean = (complex(m.real * folded, m.imag * folded) for m in (w_mean, p_mean))
-    scale = abs(folded)
     return (
-        FKEstimate(w_mean, w_se * scale, req.n_paths, cert),
-        FKEstimate(p_mean, p_se * scale, req.n_paths, cert),
-        d_se * scale,
+        _folded_estimate(req, cert, folded, weighted),
+        _folded_estimate(req, cert, folded, plain),
+        _difference_se(plain, weighted) * abs(folded),
     )
 
 
@@ -491,10 +508,9 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
 @dataclass(frozen=True)
 class _BridgePlan:
     slot: int
-    params: KernelParams
-    x: PAdicScalar
-    y: PAdicScalar
-    salt: int = 0
+    spec: BridgeSpec
+    tau: float
+    f: SBFunction
 
 
 def _bridge_action(paths: BridgeWindow, tau: float, f: SBFunction) -> np.ndarray:
@@ -513,21 +529,19 @@ def _kernel_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarr
     stream = RngStream(req.seed)
     out = np.ones((count, len(plans)))
     for col, plan in enumerate(plans):
-        gen = stream.child(plan.salt, chunk_idx, plan.slot).generator()
-        tau, f = req.v.component(plan.params.p)
-        spec = BridgeSpec(plan.params, req.t, plan.x, plan.y)
+        # the leading 0 is kept so that seeded kernel streams, and files, do not change
+        gen = stream.child(0, chunk_idx, plan.slot).generator()
+        cover = tuple(ball for ball, _ in plan.f.terms)
         for lo in range(0, count, BRIDGE_BATCH):
             n = min(BRIDGE_BATCH, count - lo)
-            paths = sample_bridges(plan.params, spec, req.bridge_steps, n, gen, PRECISION,
-                                   cover=tuple(ball for ball, _ in f.terms))
-            out[lo:lo + n, col] = np.exp(-_bridge_action(paths, tau, f))
+            paths = sample_bridges(plan.spec.params, plan.spec, req.bridge_steps, n, gen,
+                                   PRECISION, cover=cover)
+            out[lo:lo + n, col] = np.exp(-_bridge_action(paths, plan.tau, plan.f))
     return out
 
 
 def _kernel_density_factor(req: FKRequest) -> float:
     """Product over primes 1..N of the endpoint density rho^i(t, x_i - y_i)."""
-    if req.y is None:
-        raise ConfigError("kernel estimation needs an endpoint y")
     if any(not f.is_vacuum() for _, f in req.alpha.factors):
         raise ConfigError("kernel estimation takes no observable")
     total = 1.0
@@ -552,24 +566,34 @@ def _kernel_density_factor(req: FKRequest) -> float:
 
 
 def _bridge_plans(req: FKRequest) -> tuple[_BridgePlan, ...]:
-    if req.y is None:
-        raise ConfigError("kernel estimation needs an endpoint y")
     plans = []
     for slot, p in enumerate(req.v.component_primes()):
         params = req.sigma.kernel_params(prime_index(p), req.b)
-        f = req.v.component(p)[1]
+        tau, f = req.v.component(p)
         require_resolved(f, req.x.component(p))
         require_resolved(f, req.y.component(p))
         xc = req.x.component(p) or PAdicScalar.zero(p)
         yc = req.y.component(p) or PAdicScalar.zero(p)
-        plans.append(_BridgePlan(slot, params, xc, yc))
+        plans.append(_BridgePlan(slot, BridgeSpec(params, req.t, xc, yc), tau, f))
     return tuple(plans)
 
 
-def _kernel_estimate(req: FKRequest, dens: float, columns: np.ndarray | None) -> FKEstimate:
-    """Density times the product of the per-prime bridge means; exact (SE 0)
-    without columns, where no prime carries a potential."""
-    mean, se = _product_mean_se(columns.astype(complex)) if columns is not None else (1 + 0j, 0.0)
+def fk_kernel(req: FKRequest) -> FKEstimate:
+    """Kernel estimate K_t(x, y) = E_bridge[e^{-int v}] * rho(t, x - y).
+
+    The density factor is analytic (exact at the truncation); only the
+    bridge expectation carries Monte Carlo error, and without a potential
+    the estimate is exact, SE 0.  For a simple potential the bridge measure
+    is a product over primes, each prime drawing from its own stream, so the
+    bridge factor is the product of the per-prime means.  The trapezoid
+    action makes the estimator's law invariant under swapping x and y.
+    """
+    if req.y is None:
+        raise ConfigError("kernel estimation needs an endpoint y")
+    dens = _kernel_density_factor(req)
+    plans = _bridge_plans(req)
+    mean, se = (_product_mean_se(_run_chunks(_kernel_chunk, req, plans).astype(complex))
+                if plans else (1 + 0j, 0.0))
     return FKEstimate(
         value=complex(mean.real * dens),
         std_error=se * dens,
@@ -578,40 +602,6 @@ def _kernel_estimate(req: FKRequest, dens: float, columns: np.ndarray | None) ->
         density_factor=dens,
         bridge_factor=mean.real,
     )
-
-
-def fk_kernel(req: FKRequest) -> FKEstimate:
-    """Kernel estimate K_t(x, y) = E_bridge[e^{-int v}] * rho(t, x - y).
-
-    The density factor is analytic (exact at the truncation); only the
-    bridge expectation carries Monte Carlo error.  For a simple potential
-    the bridge measure is a product over primes, so the bridge factor is
-    the product of the per-prime means over the same draws.  The trapezoid
-    action makes the estimator's law invariant under swapping x and y.
-    """
-    dens = _kernel_density_factor(req)
-    plans = _bridge_plans(req)
-    data = _run_chunks(_kernel_chunk, req, plans) if plans else None
-    return _kernel_estimate(req, dens, data)
-
-
-def fk_kernel_product(req: FKRequest) -> tuple[FKEstimate, tuple]:
-    """fk_kernel's estimate from independently salted per-prime streams,
-    with the per-prime (p, bridge mean, SE) factors.
-
-    It estimates the same quantity as fk_kernel with the same reduction, so
-    the two are an independent-stream cross-check.
-    """
-    dens = _kernel_density_factor(req)
-    plans = _bridge_plans(req)
-    columns = [_run_chunks(_kernel_chunk, req, (replace(plan, salt=salt, slot=0),))
-               for salt, plan in enumerate(plans, start=1)]
-    factors = []
-    for plan, col in zip(plans, columns):
-        mean, se = _product_mean_se(col.astype(complex))
-        factors.append((plan.params.p, mean.real, se))
-    data = np.concatenate(columns, axis=1) if columns else None
-    return _kernel_estimate(req, dens, data), tuple(factors)
 
 
 # -- semigroup and generator checks ------------------------------------------

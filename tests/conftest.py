@@ -74,6 +74,15 @@ def norm_sq_quadrature(p, b, tol=1e-20):
             return total
 
 
+def trapezoid_action(sk, tau, f):
+    """The kernel estimator's trapezoid action on a digit-exact skeleton."""
+    from adelic_diffusion.schwartz import eval_sb
+
+    vals = [eval_sb(f, z).real for z in sk.values]
+    return tau * sum((t1 - t0) * 0.5 * (v0 + v1) for t0, t1, v0, v1
+                     in zip(sk.times, sk.times[1:], vals, vals[1:]))
+
+
 def tv_distance(freqs_a: dict, freqs_b: dict) -> float:
     keys = set(freqs_a) | set(freqs_b)
     return 0.5 * sum(abs(freqs_a.get(k, 0.0) - freqs_b.get(k, 0.0)) for k in keys)

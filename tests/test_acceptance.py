@@ -18,6 +18,7 @@ from click.testing import CliRunner
 from adelic_diffusion import (
     AdelicPoint,
     Ball,
+    BridgeSpec,
     FKRequest,
     KernelParams,
     PAdicScalar,
@@ -28,24 +29,26 @@ from adelic_diffusion import (
     SimplePotential,
     adelic_ball_probability,
     ball_mass,
+    density,
+    density_center,
     exit_count_factorial_bound,
     exit_count_moment,
     exit_count_pmf,
     exit_count_samples,
     fk_expectation,
     fk_kernel,
-    fk_kernel_product,
     free_propagate,
     generator_check,
     increment_law,
     overshoot_law,
     radial_convolve,
     radial_law,
+    sample_bridge,
     sample_event_path,
     vacuum_multiplier_norm_sq,
 )
 from adelic_diffusion.cli import main as cli_main
-from conftest import fine_skeleton_exit_landings, norm_sq_quadrature
+from conftest import fine_skeleton_exit_landings, norm_sq_quadrature, trapezoid_action
 
 KP = KernelParams(2, 1.0, 1.0)
 ZERO2 = PAdicScalar.zero(2)
@@ -255,6 +258,8 @@ def test_09_kernel_symmetry():
 
 
 def test_10_product_factorization():
+    # fk_kernel against the density times the product over primes of the bridge
+    # means of the digit-exact oracle sample_bridge, with the trapezoid action
     sig = SigmaSequence(explicit=(1.0, 1.0))
     pot = SimplePotential.of({
         2: (0.6, SBFunction.vacuum(2)),
@@ -263,15 +268,31 @@ def test_10_product_factorization():
     om = SimpleAdelicSB.vacuum()
     x = AdelicPoint.resolved_zeros(2)
     y = AdelicPoint.resolved_zeros(2, p2=PAdicScalar.from_int(1, 2))
+    steps, n_oracle = 32, 1000
     req = FKRequest(sig, 1.0, 1.0, x, om, pot, 3000, 2, seed=9300, y=y,
-                    bridge_steps=32)
-    joint = fk_kernel(req)
-    prod, factors = fk_kernel_product(req)
-    comb = math.hypot(joint.std_error, prod.std_error)
-    dev = abs(joint.value.real - prod.value.real)
-    assert dev <= 3 * comb
-    report(10, f"joint {joint.value.real:.5f} vs product {prod.value.real:.5f}, "
-               f"dev {dev/comb:.2f} combined SE (<3)")
+                    bridge_steps=steps)
+    est = fk_kernel(req)
+    epochs = [j / steps for j in range(1, steps)]
+    means, variances = [], []
+    for i, p in enumerate((2, 3), start=1):
+        params = sig.kernel_params(i, 1.0)
+        spec = BridgeSpec(params, 1.0, x.component(p), y.component(p))
+        gen = RngStream(9301).child(p).generator()
+        tau, f = pot.component(p)
+        w = [math.exp(-trapezoid_action(sample_bridge(params, spec, epochs, gen, 24), tau, f))
+             for _ in range(n_oracle)]
+        means.append(np.mean(w))
+        variances.append(np.var(w, ddof=1) / n_oracle)
+    # independent means: Var(m2 m3) = m2^2 v3 + m3^2 v2 + v2 v3
+    (m2, m3), (v2, v3) = means, variances
+    dens = density(sig.kernel_params(1, 1.0), 1.0, 0) * density_center(
+        sig.kernel_params(2, 1.0), 1.0)
+    ref = dens * m2 * m3
+    ref_se = dens * math.sqrt(m2**2 * v3 + m3**2 * v2 + v2 * v3)
+    z = (est.value.real - ref) / math.hypot(est.std_error, ref_se)
+    assert abs(z) <= 3
+    report(10, f"fk_kernel {est.value.real:.5f} vs density x oracle bridge means "
+               f"{ref:.5f}, z = {z:+.2f} (|z| <= 3)")
 
 
 def test_11_generator_convergence():

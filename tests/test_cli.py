@@ -156,39 +156,6 @@ class TestFk:
         val, se = float(exp_row[2]), float(exp_row[4])
         assert 0.0 < val < 1.0 and se > 0
 
-    def test_kernel_product_mode(self, runner, tmp_path):
-        pot = tmp_path / "pot.json"
-        pot.write_text(json.dumps({"components": [
-            {"prime": 2, "tau": 0.5,
-             "terms": [{"zero": True, "radius_exp": 0, "coeff": 1.0}]},
-            {"prime": 3, "tau": 0.5,
-             "terms": [{"zero": True, "radius_exp": 0, "coeff": 1.0}]},
-        ]}))
-        x = tmp_path / "x.json"
-        x.write_text(json.dumps({"components": [
-            {"prime": 2, "zero": True}, {"prime": 3, "zero": True}]}))
-        y = tmp_path / "y.json"
-        y.write_text(json.dumps({"components": [
-            {"prime": 2, "valuation": 0, "digits": [1]},
-            {"prime": 3, "zero": True}]}))
-        out = tmp_path / "k.csv"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bridge_steps": 32}))
-        res = runner.invoke(main, [
-            "fk", "--config", str(cfg), "--b", "1", "--t", "1", "--n-paths", "400",
-            "-N", "2", "--seed", "4", "--potential", str(pot), "--point", str(x),
-            "--endpoint", str(y), "--product", "-o", str(out),
-        ])
-        assert res.exit_code == 0, res.output
-        rows = read_csv(out)
-        kinds = [r[1] for r in rows[1:]]
-        assert "kernel" in kinds and "kernel_product" in kinds
-        kj = float([r for r in rows[1:] if r[1] == "kernel"][0][2])
-        kp = float([r for r in rows[1:] if r[1] == "kernel_product"][0][2])
-        sej = float([r for r in rows[1:] if r[1] == "kernel"][0][4])
-        sep = float([r for r in rows[1:] if r[1] == "kernel_product"][0][4])
-        assert abs(kj - kp) <= 4 * math.hypot(sej, sep)
-
 
 class TestFkManifest:
     """A manifest carries its input documents, so a re-run reproduces the data."""
@@ -237,12 +204,11 @@ class TestFkManifest:
         res = runner.invoke(main, [
             "fk", "--config", str(cfg), "--n-paths", "100", "-N", "1", "--seed", "3",
             "--potential", str(pot), "--point", str(x), "--endpoint", str(y),
-            "--product", "-o", str(out),
+            "-o", str(out),
         ])
         assert res.exit_code == 0, res.output
         config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
         assert config["endpoint"] == json.loads(y.read_text())
-        assert config["product"] is True
         assert self.rerun(runner, out, tmp_path) == out.read_bytes()
 
     def test_kernel_mode_rejects_observable(self, runner, tmp_path):
@@ -260,12 +226,6 @@ class TestFkManifest:
                                    "-o", str(tmp_path / "k.csv")])
         assert res.exit_code == 2
         assert "takes no observable" in res.output
-
-    def test_product_without_endpoint_is_config_error(self, runner, tmp_path):
-        res = runner.invoke(main, ["fk", "--n-paths", "10", "-N", "1", "--product",
-                                   "-o", str(tmp_path / "fk.csv")])
-        assert res.exit_code == 2
-        assert "needs an endpoint" in res.output
 
     def test_observable_without_point_is_config_error(self, runner, tmp_path):
         obs = tmp_path / "obs.json"
@@ -391,6 +351,17 @@ class TestManifestReproducibility:
         res = runner.invoke(main, [command, "--seed", "1", "-o", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
         assert "No such option" in res.output
+
+    def test_unread_config_key_is_config_error(self, runner, tmp_path):
+        for command, doc in (("fk", {"product": True}), ("fk", {"n_path": 10}),
+                             ("density", {"seed": 1})):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            res = runner.invoke(main, [command, "--config", str(cfg),
+                                       "-o", str(tmp_path / "x.csv")])
+            assert res.exit_code == 2, (command, doc)
+            assert f"unknown config keys for {command}: {next(iter(doc))}" in res.output
+        assert not (tmp_path / "x.csv").exists()
 
     def test_output_flag_wins_over_config_output(self, runner, tmp_path):
         a, b, c = (tmp_path / f"{name}.csv" for name in "abc")

@@ -30,7 +30,6 @@ from adelic_diffusion import (
     fk_expectation,
     fk_expectation_pair,
     fk_kernel,
-    fk_kernel_product,
     free_propagate,
     generator_check,
     sample_event_path,
@@ -469,19 +468,6 @@ class TestKernels:
         est = fk_kernel(req)
         assert est.value.real <= est.density_factor + 3 * est.std_error
 
-    def test_product_matches_joint(self):
-        pot23 = SimplePotential.of({
-            2: (0.6, SBFunction.vacuum(2)),
-            3: (0.5, SBFunction.vacuum(3)),
-        })
-        req = FKRequest(SIG, B, 1.0, self.X, OM, pot23, 1500, 2, seed=712,
-                        y=self.Y, bridge_steps=32)
-        joint = fk_kernel(req)
-        prod, factors = fk_kernel_product(req)
-        comb = math.hypot(joint.std_error, prod.std_error)
-        assert abs(joint.value.real - prod.value.real) <= 3 * comb
-        assert len(factors) == 2
-
     def test_worker_invariance(self, run_chunks_calls):
         pot23 = SimplePotential.of({
             2: (0.6, SBFunction.vacuum(2)),
@@ -489,15 +475,11 @@ class TestKernels:
         })
         req = FKRequest(SIG, B, 1.0, self.X, OM, pot23, 600, 2, seed=724, y=self.Y,
                         bridge_steps=16, chunk_size=200)
-        joint, product = [], []
-        for w in (1, 4, 8):
-            joint.append(fk_kernel(replace(req, workers=w)))
-            product.append(fk_kernel_product(replace(req, workers=w)))
-        # three chunks per call: one joint call and one per prime for the product
-        assert run_chunks_calls == ["_kernel_chunk"] * 9
-        assert joint[0].std_error > 0
-        assert joint[0] == joint[1] == joint[2]
-        assert product[0] == product[1] == product[2]
+        ests = [fk_kernel(replace(req, workers=w)) for w in (1, 4, 8)]
+        # three chunks per call
+        assert run_chunks_calls == ["_kernel_chunk"] * 3
+        assert ests[0].std_error > 0
+        assert ests[0] == ests[1] == ests[2]
 
     def test_dropped_vacuum_prime_in_density_range(self):
         # removing a v-free prime from the product changes the value by a

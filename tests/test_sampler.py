@@ -36,8 +36,8 @@ from adelic_diffusion.sampler import (
     sample_bridges,
     skeleton_stays,
 )
-from adelic_diffusion.schwartz import SBFunction, eval_sb
-from conftest import fine_skeleton_exit_landings, tv_distance
+from adelic_diffusion.schwartz import SBFunction
+from conftest import fine_skeleton_exit_landings, trapezoid_action, tv_distance
 
 KP = KernelParams(2, 1.0, 1.0)
 ZERO = PAdicScalar.zero(2)
@@ -376,13 +376,6 @@ def window_point(paths, i, k):
 
 def midpoint_class(z, x0, x1):
     return radial_class(z - x0, -4), radial_class(z - x1, -4)
-
-
-def trapezoid_action(sk, tau, f):
-    """The kernel estimator's trapezoid action on a digit-exact skeleton."""
-    vals = [eval_sb(f, z).real for z in sk.values]
-    return tau * sum((t1 - t0) * 0.5 * (v0 + v1) for t0, t1, v0, v1
-                     in zip(sk.times, sk.times[1:], vals, vals[1:]))
 
 
 def _pinned_pairs(p):
