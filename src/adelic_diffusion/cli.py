@@ -14,7 +14,8 @@ exit-count) and epochs (sample).  A key the command does not read is a
 config error.  Only exit, sample, exit-count and fk draw random numbers, so
 only they take --seed.  fk's kernel mode (--endpoint) takes no observable.
 
-Exit codes: 0 ok, 1 check failure, 2 config error, 3 numeric failure.
+Exit codes: 0 ok, 1 check failure, 2 config error, 3 numeric failure,
+4 unresolved input, 70 internal error (see `_command`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -43,8 +45,12 @@ from .adelic import (
     tail_certificate,
 )
 from .errors import (
+    AdelicDiffusionError,
     BridgeUnderflowError,
     ConfigError,
+    PrecisionError,
+    PrimeMismatchError,
+    ResolutionError,
     SummabilityError,
     TruncationError,
     ValuationRangeError,
@@ -105,11 +111,18 @@ class RunConfig(dict):
             raise ConfigError(f"config key '{key}': {exc}") from exc
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def _load_config(path: str | None, overrides: dict) -> RunConfig:
     data: dict = {}
     if path:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
         data = doc.get("config", doc)  # accept a manifest as a config source
     for k, v in overrides.items():
         if v is not None:
@@ -117,26 +130,34 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
     return RunConfig(data)
 
 
-def _doc(cfg: RunConfig, key: str):
-    """The config's document under `key`, inline or a JSON file's path; the
-    document is echoed into the config so the manifest stands alone."""
+def _doc(cfg: RunConfig, key: str, parse):
+    """The config's document under `key`, inline or a JSON file's path,
+    parsed by `parse`, or None if it is absent or empty.  The document is
+    echoed into the config so the manifest stands alone; a malformed one is
+    a config error."""
     src = cfg.get(key)
     if src is None:
         return None
     if not isinstance(src, dict):
-        with open(src) as fh:
-            src = json.load(fh)
+        src = _read_json(src)
     cfg[key] = src
-    return src
+    if not src:
+        return None
+    try:
+        return parse(src)
+    except AdelicDiffusionError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key '{key}': malformed document ({exc!r})") from exc
 
 
 _SIGMA_KEYS = ("sigma_explicit", "sigma_tail_coeff", "sigma_tail_power")
 
 
 def _sigma_from_config(cfg: RunConfig) -> SigmaSequence:
-    explicit = tuple(float(s) for s in cfg.get("sigma_explicit", ()))
-    coeff = float(cfg.get("sigma_tail_coeff", 0.0 if explicit else 1.0))
-    power = float(cfg.get("sigma_tail_power", 2.0))
+    explicit = cfg.need("sigma_explicit", lambda v: tuple(float(s) for s in v), ())
+    coeff = cfg.need("sigma_tail_coeff", float, 0.0 if explicit else 1.0)
+    power = cfg.need("sigma_tail_power", float, 2.0)
     return SigmaSequence(explicit=explicit, tail_coeff=coeff, tail_power=power)
 
 
@@ -217,8 +238,11 @@ def _command(name: str, schema: str, header: list[str], *options, config_keys=()
     document, so the manifest echoes flags and config keys alike and a
     re-run from it needs no flag.  The config may hold only flag keys and
     the flagless `config_keys` the body reads.  `write(rows, derived)`
-    writes the data file and its manifest.  Numeric failures exit 3, config
-    errors 2.
+    writes the data file and its manifest.  Exit codes follow the error
+    class: 2 ConfigError, SummabilityError (and click usage errors); 3
+    TruncationError, BridgeUnderflowError, ValuationRangeError; 4 (unresolved
+    input) PrecisionError, ResolutionError, PrimeMismatchError; 70 (internal
+    error) any other exception, with its traceback on stderr.
     """
 
     def register(body):
@@ -230,12 +254,18 @@ def _command(name: str, schema: str, header: list[str], *options, config_keys=()
                 if unknown:
                     raise ConfigError(f"unknown config keys for {name}: {', '.join(unknown)}")
                 body(cfg, partial(_finish, name, cfg, schema, header, t0=t0))
+            except (ConfigError, SummabilityError) as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(2)
             except (TruncationError, BridgeUnderflowError, ValuationRangeError) as exc:
                 click.echo(f"numeric failure: {exc}", err=True)
                 sys.exit(3)
-            except (ConfigError, SummabilityError, ValueError) as exc:
-                click.echo(f"config error: {exc}", err=True)
-                sys.exit(2)
+            except (PrecisionError, ResolutionError, PrimeMismatchError) as exc:
+                click.echo(f"unresolved input: {exc}", err=True)
+                sys.exit(4)
+            except Exception:
+                click.echo(f"internal error:\n{traceback.format_exc()}", err=True)
+                sys.exit(70)
 
         common = (
             click.option("--config", type=click.Path(exists=True), default=None,
@@ -315,13 +345,13 @@ def sample_cmd(cfg, write):
     T = cfg.need("T", float, 1.0)
     n = cfg.need("n_paths", int, 10)
     sd = cfg.need("seed", int, 1)
-    epochs = cfg.get("epochs")
+    epochs = cfg.need("epochs", lambda v: [float(e) for e in v or ()], ())
     rows = []
     zero = PAdicScalar.zero(params.p)
     for j in range(n):
         stream = RngStream(sd).child(j)
         if epochs:
-            sk = sample_skeleton(params, [float(e) for e in epochs], zero, stream, 24)
+            sk = sample_skeleton(params, epochs, zero, stream, 24)
             for tt, v in zip(sk.times, sk.values):
                 rows.append([j, "skeleton", tt, params.p,
                              "" if v.is_zero() else v.valuation,
@@ -376,7 +406,7 @@ def exit_count_cmd(cfg, write):
 def operator_cmd(cfg, write):
     """Vacuum multiplier norms and operator applications."""
     bb = cfg.need("b", float, 1.0)
-    plist = [int(q) for q in str(cfg.get("primes", "2,3,5,7")).split(",")]
+    plist = cfg.need("primes", lambda v: [int(q) for q in str(v).split(",")], "2,3,5,7")
     rows = []
     for p in plist:
         closed = vacuum_multiplier_norm_sq(p, bb)
@@ -386,9 +416,9 @@ def operator_cmd(cfg, write):
             quad += term
             k += 1
         rows.append(["norm", p, bb, "", closed, quad, abs(closed - quad)])
-    obs_doc = _doc(cfg, "observable")
-    if obs_doc:
-        for p, f in observable_from_json(obs_doc).factors:
+    obs = _doc(cfg, "observable", observable_from_json)
+    if obs:
+        for p, f in obs.factors:
             params = KernelParams(p, bb, 1.0)
             for m in range(-3, 4):
                 x = PAdicScalar(p, -m, 1, 24)
@@ -416,14 +446,11 @@ def fk_cmd(cfg, write):
     sd = cfg.need("seed", int, 1)
     wk = _workers(cfg)
 
-    obs_doc = _doc(cfg, "observable")
-    alpha_f = observable_from_json(obs_doc) if obs_doc else SimpleAdelicSB.vacuum()
-    pot_doc = _doc(cfg, "potential")
-    pot = potential_from_json(pot_doc) if pot_doc else SimplePotential.zero()
-    pt_doc = _doc(cfg, "point")
-    x = point_from_json(pt_doc) if pt_doc else AdelicPoint.zero()
-    y_doc = _doc(cfg, "endpoint")
-    y = point_from_json(y_doc) if y_doc else None
+    alpha_f = _doc(cfg, "observable", observable_from_json) or SimpleAdelicSB.vacuum()
+    pot = _doc(cfg, "potential", potential_from_json) or SimplePotential.zero()
+    given_x = _doc(cfg, "point", point_from_json)
+    x = given_x or AdelicPoint.zero()
+    y = _doc(cfg, "endpoint", point_from_json)
 
     N = cfg.need("truncation", int, max(
         4, x.max_active_index(),
@@ -432,21 +459,27 @@ def fk_cmd(cfg, write):
     req = FKRequest(sigma, bb, tt, x, alpha_f, pot, n, N, seed=sd, y=y,
                     workers=wk, bridge_steps=cfg.need("bridge_steps", int, 128))
     rows = []
-    if y is None:
-        est = fk_expectation(req)
-        rows.append(["expectation", est.value.real, est.value.imag,
-                     est.std_error, est.n_paths, est.tail_certificate, "", ""])
-        if not pot.components:
-            fp = free_propagate(sigma, bb, tt, alpha_f, x, N)
-            rows.append(["free_truncated", fp.value.real, fp.value.imag, 0.0, 0,
-                         fp.tail_lo_mult, "", ""])
-    else:
-        kernels = [("kernel", fk_kernel(req))]
-        if pot.components:
-            kernels.append(("kernel_reversed", fk_kernel(replace(req, x=y, y=x, seed=sd + 1))))
-        for name, k in kernels:
-            rows.append([name, k.value.real, k.value.imag, k.std_error, k.n_paths,
-                         k.tail_certificate, k.density_factor, k.bridge_factor])
+    try:
+        if y is None:
+            est = fk_expectation(req)
+            rows.append(["expectation", est.value.real, est.value.imag,
+                         est.std_error, est.n_paths, est.tail_certificate, "", ""])
+            if not pot.components:
+                fp = free_propagate(sigma, bb, tt, alpha_f, x, N)
+                rows.append(["free_truncated", fp.value.real, fp.value.imag, 0.0, 0,
+                             fp.tail_lo_mult, "", ""])
+        else:
+            kernels = [("kernel", fk_kernel(req))]
+            if pot.components:
+                kernels.append(("kernel_reversed", fk_kernel(replace(req, x=y, y=x, seed=sd + 1))))
+            for name, k in kernels:
+                rows.append([name, k.value.real, k.value.imag, k.std_error, k.n_paths,
+                             k.tail_certificate, k.density_factor, k.bridge_factor])
+    except PrecisionError as exc:
+        if given_x:
+            raise
+        # with no point every component is unresolved: an input is missing
+        raise ConfigError(f"{exc} (no --point given)") from exc
     write(rows, {
         "truncation": N,
         "tail_certificate": tail_certificate(sigma, bb, tt, N),

@@ -7,7 +7,9 @@ Estimates run over adelic bundles truncated at N primes:
   so event-driven paths make the action integral exact, endpoint-only
   primes reduce to one radius, its sphere point integrated out, and vacuum,
   potential-free primes to their exact free factor (no time discretization
-  anywhere);
+  anywhere).  Event paths run in `event_path_sums`, one window integer per
+  position, draw for draw and bit for bit what `sample_event_path`,
+  `_path_action` and `eval_sb` give;
 * kernel mode: bridge Monte Carlo times the analytic endpoint density.  The
   batched engine `sample_bridges` fills every path of a chunk together in
   a p-adic integer window, and the action is a time-symmetric trapezoid
@@ -56,6 +58,7 @@ from .sampler import (
     BridgeSpec,
     BridgeWindow,
     EventPath,
+    event_path_sums,
     increment_law,
     sample_bridge,  # noqa: F401  unused here; perfbench/layers.py patches this name
     sample_bridges,
@@ -311,16 +314,14 @@ def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> 
 
 def _event_factor(plan: _PrimePlan, t: float, gen: np.random.Generator,
                   count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(action, observable factor) for primes carrying a potential term."""
+    """(action, observable factor) for primes carrying a potential term, from
+    event paths drawn as sample_event_path draws them; the values are those
+    of _path_action and eval_sb on its paths, bit for bit."""
     tau, f = plan.v_term
     _require_constant_at(plan.r_min, f)
-    actions = np.zeros(count)
-    values = np.zeros(count, dtype=complex)
-    for j in range(count):
-        path = sample_event_path(plan.params, plan.start, t, plan.r_min, gen)
-        actions[j] = _path_action(path, tau, f, t)
-        values[j] = eval_sb(plan.alpha_f, path.end_position())
-    return actions, values
+    integrals, values = event_path_sums(plan.params, plan.start, t, plan.r_min, gen, count,
+                                        f.terms, plan.alpha_f.terms)
+    return tau * integrals, values
 
 
 def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
@@ -340,30 +341,31 @@ def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.nda
 
 def _fk_chunk_entry(args):
     chunk_fn, req, plans, chunk_idx, count = args
-    return chunk_idx, chunk_fn(req, plans, chunk_idx, count)
+    return chunk_fn(req, plans, chunk_idx, count)
 
 
 def _run_chunks(chunk_fn, req: FKRequest, plans) -> np.ndarray:
-    sizes = []
-    remaining = req.n_paths
-    idx = 0
-    while remaining > 0:
-        m = min(req.chunk_size, remaining)
-        sizes.append((idx, m))
-        remaining -= m
-        idx += 1
-    tasks = [(chunk_fn, req, plans, i, m) for i, m in sizes]
+    """The chunks' arrays stacked in chunk order, each copied into one
+    preallocated (n_paths, ...) array as it arrives and then dropped."""
+    tasks = [(chunk_fn, req, plans, i, min(req.chunk_size, req.n_paths - lo))
+             for i, lo in enumerate(range(0, req.n_paths, req.chunk_size))]
+
+    def fill(chunks) -> np.ndarray:
+        out = None
+        for (*_, i, count), chunk in zip(tasks, chunks):
+            if out is None:
+                out = np.empty((req.n_paths, *chunk.shape[1:]), dtype=chunk.dtype)
+            out[i * req.chunk_size:i * req.chunk_size + count] = chunk
+        return out
+
     if req.workers > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=req.workers) as pool:
-                results = dict(pool.map(_fk_chunk_entry, tasks))
+                return fill(pool.map(_fk_chunk_entry, tasks))
         except OSError as exc:
             warnings.warn(f"process pool unavailable ({exc!r}); running chunks serially",
                           RuntimeWarning, stacklevel=2)
-            results = dict(map(_fk_chunk_entry, tasks))
-    else:
-        results = dict(map(_fk_chunk_entry, tasks))
-    return np.concatenate([results[i] for i, _ in sizes], axis=0)
+    return fill(map(_fk_chunk_entry, tasks))
 
 
 # -- reduction over primes ----------------------------------------------------

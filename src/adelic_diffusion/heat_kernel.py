@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import ConfigError, TruncationError
 from .primes import is_prime
 
 _TINY = 1e-318
@@ -37,11 +37,11 @@ class KernelParams:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+            raise ConfigError(f"p={self.p} is not prime")
         if not self.b > 0:
-            raise ValueError("exponent b must be positive")
+            raise ConfigError("exponent b must be positive")
         if not self.sigma > 0:
-            raise ValueError("diffusion constant sigma must be positive")
+            raise ConfigError("diffusion constant sigma must be positive")
 
 
 SERIES_REL_TOL = 1e-14
@@ -115,14 +115,14 @@ def _density_cached(params: KernelParams, t: float, m: int) -> float:
 def density(params: KernelParams, t: float, m: int) -> float:
     """Kernel value on the sphere {|x| = p^m} at time t (radial density)."""
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise ConfigError("t must be positive")
     return _density_cached(params, t, m)
 
 
 def density_center(params: KernelParams, t: float) -> float:
     """Kernel value at the origin, the supremum of the density."""
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise ConfigError("t must be positive")
     return _series_down(params, t, _r_all_terms(params, t), 0.0)
 
 
@@ -140,7 +140,7 @@ def ball_mass(params: KernelParams, t: float, nu: int) -> float:
     least e^{-sigma t p^{-nu b}}.
     """
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise ConfigError("t must be positive")
     return _ball_mass_cached(params, t, nu)
 
 
@@ -172,7 +172,7 @@ def sphere_ball_share(p: int, r: int, e: int) -> float:
 def exit_prob(params: KernelParams, T: float, r: int) -> float:
     """P(sup_{s <= T} |X_s| <= p^r) = e^{-sigma alpha T p^{-rb}}."""
     if T < 0:
-        raise ValueError("T must be nonnegative")
+        raise ConfigError("T must be nonnegative")
     a = params.sigma * alpha(params) * T * _pow(params.p, -r * params.b)
     return math.exp(-a) if a != math.inf else 0.0
 
@@ -264,7 +264,7 @@ def radial_law(params: KernelParams, t: float,
                coverage: float = 1.0 - 1e-12) -> RadialLaw:
     """Sphere-mass window covering at least `coverage` of the time-t kernel."""
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise ConfigError("t must be positive")
     eps = (1.0 - coverage) / 2.0
     p, b = params.p, params.b
 

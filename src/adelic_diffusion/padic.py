@@ -327,6 +327,18 @@ def window_int(x: PAdicScalar, coarse: int, width: int) -> int:
     return x.significand * x.prime**shift
 
 
+def window_ball(d: PAdicScalar, radius_exp: int, coarse: int) -> tuple[int, int] | bool:
+    """(m, key) such that window integer w (coarse end p^coarse) lies in the
+    ball B_radius_exp(d + origin) iff w % m == key; where the radius or |d|
+    exceeds p^coarse, the one answer of the whole window, |d| <= p^radius_exp."""
+    e = d.abs_exp()
+    if radius_exp > coarse or (e is not None and e > coarse):
+        return e is None or e <= radius_exp
+    m = d.prime ** (coarse - radius_exp)
+    # PrecisionError if d is known too coarsely for the radius
+    return m, int(d.coset_key(radius_exp) * Fraction(d.prime) ** coarse) % m
+
+
 def uniform_digits(gen: np.random.Generator, p: int, n: int, digits: int) -> np.ndarray:
     """n independent uniform draws from Z / p^digits, as an object array of
     Python ints; the digits come in int64 blocks of base p^k."""

@@ -16,6 +16,8 @@ once, one level of the midpoint recursion at a time, with every position
 an integer in a p-adic window (see `padic.window_int`); the kernel
 estimators run on it.  `sample_bridge` draws one path as `PAdicScalar`s and
 is the digit-exact oracle the batched engine is tested against in law.
+Likewise `event_path_sums` makes `sample_event_path`'s draws with each
+position one integer modulo B_{r_min}, for the exact estimator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BridgeUnderflowError, ResolutionError, TruncationError
+from .errors import BridgeUnderflowError, ConfigError, ResolutionError, TruncationError
 from .heat_kernel import (
     KernelParams,
     _frozen,
@@ -43,13 +45,15 @@ from .padic import (
     uniform_ball,
     uniform_digits,
     uniform_sphere,
+    window_ball,
     window_int,
 )
 from .rng import as_generator
 
 # Largest expected event count rate * T an event path may be asked for.
 MAX_EXPECTED_EVENTS = 10**7
-# Digits drawn beyond an event jump's overshoot level.
+# Digits drawn beyond an event jump's overshoot level.  No position modulo B_{r_min}
+# reads them: they keep the seeded streams until a deliberate re-baseline.
 EVENT_DIGIT_MARGIN = 12
 # Equal-sphere rejection accepts with probability >= (p - 2)/(p - 1) >= 1/2,
 # so this many straight rejections has probability <= 2**-64.
@@ -130,7 +134,7 @@ class BridgeSpec:
 
     def __post_init__(self):
         if not self.t > 0:
-            raise ValueError("bridge horizon must be positive")
+            raise ConfigError("bridge horizon must be positive")
         if self.x.prime != self.y.prime or self.x.prime != self.params.p:
             raise ValueError("bridge endpoints must share the kernel prime")
 
@@ -143,7 +147,7 @@ def sample_increment(params: KernelParams, dt: float, rng,
                      precision: int = DEFAULT_PRECISION) -> PAdicScalar:
     """One increment of the process over time dt (radial inverse CDF)."""
     if not dt > 0:
-        raise ValueError("dt must be positive")
+        raise ConfigError("dt must be positive")
     gen = as_generator(rng)
     law = increment_law(params, dt)
     m = int(law.sample_exponents(gen, 1)[0])
@@ -155,7 +159,7 @@ def sample_skeleton(params: KernelParams, epochs, start: PAdicScalar, rng,
     """Skeleton at the given epochs (strictly increasing, all positive)."""
     epochs = [float(t) for t in epochs]
     if any(t2 <= t1 for t1, t2 in zip(epochs, epochs[1:])) or (epochs and epochs[0] <= 0):
-        raise ValueError("epochs must be strictly increasing and positive")
+        raise ConfigError("epochs must be strictly increasing and positive")
     gen = as_generator(rng)
     times = [0.0]
     values = [start]
@@ -185,15 +189,21 @@ def sample_overshoot(params: KernelParams, gen: np.random.Generator) -> int:
     return int(gen.geometric(1.0 - params.p ** (-params.b)))
 
 
-def sample_event_path(params: KernelParams, start: PAdicScalar, T: float,
-                      r_min: int, rng) -> EventPath:
-    """Simulate first-exit events from balls of radius p^r_min up to time T."""
+def _event_rate(params: KernelParams, r_min: int, T: float) -> float:
+    """Exit rate at p^r_min, for a horizon expecting few enough exits."""
     if not T > 0:
-        raise ValueError("horizon T must be positive")
+        raise ConfigError("horizon T must be positive")
     lam = exit_rate(params, r_min)
     if lam * T > MAX_EXPECTED_EVENTS:
         raise TruncationError(f"event path expects {lam * T:.3g} exits (limit "
                               f"{MAX_EXPECTED_EVENTS:.0e}); coarsen r_min or shorten T")
+    return lam
+
+
+def sample_event_path(params: KernelParams, start: PAdicScalar, T: float,
+                      r_min: int, rng) -> EventPath:
+    """Simulate first-exit events from balls of radius p^r_min up to time T."""
+    lam = _event_rate(params, r_min, T)
     gen = as_generator(rng)
     events: list[tuple[float, PAdicScalar]] = []
     t, pos = 0.0, start
@@ -206,6 +216,52 @@ def sample_event_path(params: KernelParams, start: PAdicScalar, T: float,
         pos = pos + jump
         events.append((t, pos))
     return EventPath(params, r_min, start, tuple(events), T)
+
+
+def event_path_sums(params: KernelParams, start: PAdicScalar, T: float, r_min: int,
+                    rng, count: int, action_terms, end_terms) -> tuple[np.ndarray, np.ndarray]:
+    """For each of count event paths drawn in turn: int_0^T Re f(X_s) ds, f the
+    sum of action_terms, and the sum of end_terms at X_T ((ball, coeff) pairs,
+    radii >= p^r_min).  Draws, sums and their order are sample_event_path's,
+    _path_action's and eval_sb's, so the results are theirs to the bit.  X is
+    held as M = (X - start) p^H mod p^(H - r_min), H widening exactly from r_min."""
+    lam = _event_rate(params, r_min, T)
+    gen, p = as_generator(rng), params.p
+    terms = [(c, ball.center - start, ball.radius_exp) for ball, c in (*action_terms, *end_terms)]
+    rules: dict[int, tuple[list, list]] = {}
+
+    def at(H: int) -> tuple[list, list]:  # (coeff, m, key) rows; a bool rule as (1, 0) or (1, 1)
+        if H not in rules:
+            rows = [(c, *((1, 1 - rule) if isinstance(rule := window_ball(d, r, H), bool)
+                          else rule)) for c, d, r in terms]
+            rules[H] = rows[:len(action_terms)], rows[len(action_terms):]
+        return rules[H]
+
+    integrals, ends = np.empty(count), np.empty(count, dtype=complex)
+    for j in range(count):
+        t = t_prev = total = 0.0
+        H, M, mod = r_min, 0, 1
+        val = sum((c for c, m, key in at(H)[0] if M % m == key), 0j).real
+        while True:
+            t += gen.exponential(1.0 / lam)
+            if t > T:
+                break
+            total += (t - t_prev) * val
+            t_prev = t
+            k = sample_overshoot(params, gen)
+            lead = int(gen.integers(1, p))
+            # all drawn to keep the stream; digits past the k - 1st lie in B_{r_min}
+            digits = gen.integers(0, p, size=k + EVENT_DIGIT_MARGIN - 1)[:k - 1].tolist()
+            e = r_min + k
+            if e > H:
+                M, mod, H = M * p ** (e - H), mod * p ** (e - H), e
+            unit = lead + p * sum(d * p**i for i, d in enumerate(digits))
+            M = (M + unit * p ** (H - e)) % mod
+            val = sum((c for c, m, key in at(H)[0] if M % m == key), 0j).real
+        # after an event at exactly T this adds 0, as EventPath.segments ends there
+        integrals[j] = total + (T - t_prev) * val
+        ends[j] = sum((c for c, m, key in at(H)[1] if M % m == key), 0j)
+    return integrals, ends
 
 
 def sup_norm_exceeds(path: EventPath, r: int) -> bool:
@@ -388,16 +444,13 @@ class BridgeWindow:
 
     def in_ball(self, ball: Ball) -> np.ndarray:
         """Whether each position lies in the ball (bool, shape of offsets)."""
-        depth = self.coarse - ball.radius_exp
-        d = ball.center - self.x
-        far = d.abs_exp() is not None and d.abs_exp() > self.coarse
-        if far or not 0 <= depth <= self.width:
+        if (self.coarse - ball.radius_exp > self.width
+                or isinstance(rule := window_ball(ball.center - self.x, ball.radius_exp,
+                                                  self.coarse), bool)):
             raise ResolutionError(f"window (coarse end p^{self.coarse}, {self.width} digits) "
                                   f"does not resolve the ball of radius p^{ball.radius_exp}")
-        key = d.coset_key(ball.radius_exp)  # PrecisionError if the centre is too coarse
-        centre = int(key * self.params.p**self.coarse)
-        mod = self.params.p**depth
-        return (self.offsets % mod) == centre % mod
+        mod, key = rule
+        return (self.offsets % mod) == key
 
 
 def sample_bridges(params: KernelParams, spec: BridgeSpec, steps: int, count: int,

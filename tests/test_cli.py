@@ -293,6 +293,58 @@ class TestNumericFailureExitCode:
         assert "numeric failure" in res.output
 
 
+class TestExitCodes:
+    """One case per exit code: the code follows the error class."""
+
+    def test_config_errors_exit_two(self, runner, tmp_path):
+        # a divergent rate sequence, a config that is not JSON, and an
+        # observable document without its prime
+        bad = {"sum.json": json.dumps({"sigma_tail_power": 1.0}), "text.json": "t = 1",
+               "obs.json": json.dumps({"observable": {"factors": [{"terms": []}]}})}
+        for name, text in bad.items():
+            (tmp_path / name).write_text(text)
+            res = runner.invoke(main, ["fk", "--config", str(tmp_path / name), "--n-paths", "10",
+                                       "-o", str(tmp_path / "fk.csv")])
+            assert res.exit_code == 2, name
+            assert "config error" in res.output
+
+    def test_truncation_error_exits_three(self, runner, tmp_path):
+        res = runner.invoke(main, ["sample", "-p", "2", "-T", "1", "--resolution", "-40",
+                                   "--n-paths", "1", "-o", str(tmp_path / "s.csv")])
+        assert res.exit_code == 3
+        assert "numeric failure" in res.output
+
+    def test_coarse_centre_under_potential_exits_four(self, runner, tmp_path):
+        # the observable's ball at 3 has radius 3^-2 but a centre known mod 3 only
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"factors": [{"prime": 3, "terms": [
+            {"valuation": 0, "digits": [1], "radius_exp": -2, "coeff": 1.0}]}]}))
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps({"components": [{"prime": 3, "tau": 0.5, "terms": [
+            {"zero": True, "radius_exp": 0, "coeff": 1.0}]}]}))
+        pt = tmp_path / "pt.json"
+        pt.write_text(json.dumps({"components": [{"prime": 3, "zero": True}]}))
+        res = runner.invoke(main, ["fk", "--n-paths", "10", "-N", "2", "--observable", str(obs),
+                                   "--potential", str(pot), "--point", str(pt),
+                                   "-o", str(tmp_path / "fk.csv")])
+        assert res.exit_code == 4
+        assert "unresolved input" in res.output
+        assert "ball centre" in res.output
+
+    def test_bare_value_error_is_internal_error(self, runner, tmp_path, monkeypatch):
+        from adelic_diffusion import cli
+
+        def broken(req):
+            raise ValueError("broken estimator")
+
+        monkeypatch.setattr(cli, "fk_expectation", broken)
+        res = runner.invoke(main, ["fk", "--n-paths", "10", "-o", str(tmp_path / "fk.csv")])
+        assert res.exit_code == 70
+        assert "internal error" in res.output
+        assert "Traceback" in res.output and "broken estimator" in res.output
+        assert "config error" not in res.output
+
+
 class TestWorkerCount:
     def fk(self, runner, tmp_path, args, env=None):
         return runner.invoke(main, ["fk", "--n-paths", "10", "-N", "2", *args,

@@ -371,6 +371,66 @@ class TestFkExpectation:
                 call()
 
 
+# Values pinned from the PAdicScalar event-path engine (sample_event_path,
+# _path_action and eval_sb per path) at fixed seeds; the window-integer engine
+# must reproduce them to the last digit.
+X2 = PAdicScalar.from_rational(Fraction(5, 4), 2)
+PINNED_POT = SimplePotential.of({
+    3: (1.0, SBFunction(3, ((Ball(PAdicScalar.from_int(1, 3), -1), 1.0 + 0j),
+                            (Ball(PAdicScalar.from_int(1, 3), 0), 0.25 + 0j)))),
+    2: (0.5, SBFunction(2, ((Ball(X2, -2), 1.0 + 0j),
+                            (Ball(PAdicScalar.from_int(3, 2), 1), 0.5 + 0j)))),
+})
+PINNED_ALPHA = SimpleAdelicSB.of({
+    3: SBFunction(3, ((Ball(PAdicScalar.from_int(4, 3), -1), 0.5 - 0.25j),
+                      (Ball(PAdicScalar.zero(3), 0), 1.0 + 0.5j))),
+    2: SBFunction(2, ((Ball(X2, -1), 1.0 + 0j),)),
+    5: SBFunction(5, ((Ball(PAdicScalar.zero(5), -1), 2.0 + 0j),)),
+})
+PINNED_X = AdelicPoint.of({2: X2, 3: PAdicScalar.zero(3), 5: PAdicScalar.zero(5)})
+
+
+class TestPinnedEventValues:
+    def test_expectation_and_pair_at_every_worker_count(self):
+        req = FKRequest(SIG, B, 1.5, PINNED_X, PINNED_ALPHA, PINNED_POT, 3000, 4, seed=1801,
+                        chunk_size=1000)
+        assert repr(fk_expectation(req)) == (
+            'FKEstimate(value=(0.3307950767501668+0.15657301365094206j), '
+            'std_error=0.006973883758268751, n_paths=3000, tail_certificate=0.9573632836247958, '
+            'density_factor=None, bridge_factor=None)')
+        for w in (1, 2, 4):
+            assert repr(fk_expectation_pair(replace(req, workers=w))) == (
+                '(FKEstimate(value=(0.3307950767501668+0.15657301365094206j), '
+                'std_error=0.006973883758268751, n_paths=3000, '
+                'tail_certificate=0.9573632836247958, density_factor=None, bridge_factor=None), '
+                'FKEstimate(value=(0.9140120083173295+0.41396479409824255j), '
+                'std_error=0.01816538649359919, n_paths=3000, tail_certificate=0.9573632836247958, '
+                'density_factor=None, bridge_factor=None), 0.011997913291194632)')
+
+    def test_generator_check(self):
+        rep = generator_check(SIG, B, OM, VPOT, AdelicPoint.resolved_zeros(1), [1e-1, 1e-2],
+                              n_paths=3000, N=3, seed=1802)
+        assert repr(rep) == (
+            'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9370870287998734, '
+            '-0.9786973023757528), target=-0.9833333333333333, errors=(0.0462463045334599, '
+            '0.004636030957580473), orders=(0.9989307073519981,), mc_ses=(0.001483197600243739, '
+            '0.000464262569155768))')
+        rep = generator_check(SIG, B, PINNED_ALPHA, PINNED_POT, PINNED_X, [0.5, 0.25],
+                              n_paths=1500, N=4, seed=1803)
+        assert repr(rep) == (
+            'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.8880602200620689, '
+            '-2.2283263563274813), target=-2.619047619047619, errors=(0.7309873989855502, '
+            '0.39072126272013774), orders=(0.9037067688143958,), mc_ses=(0.01661916556639237, '
+            '0.01503156835887721))')
+
+    def test_semigroup_check_mc(self):
+        rep = semigroup_check_mc(SIG, B, 0.5, 0.5, PINNED_ALPHA, PINNED_POT, PINNED_X, 4,
+                                 n=400, seed=1804)
+        assert repr(rep) == (
+            'SemigroupReport(s=0.5, t=0.5, direct=0.5687307113814534, '
+            'composed=0.6840621064479072, combined_se=0.07522765919454613)')
+
+
 class TestProductReduction:
     """Estimates are products of independent per-prime means."""
 

@@ -28,15 +28,16 @@ from adelic_diffusion import (
     sample_skeleton,
     sup_norm_exceeds,
 )
-from adelic_diffusion.feynman_kac import _bridge_action
+from adelic_diffusion.feynman_kac import _bridge_action, _path_action
 from adelic_diffusion.padic import Ball, _normalised
 from adelic_diffusion.sampler import (
     _bridge_tree,
     bridge_class_total,
+    event_path_sums,
     sample_bridges,
     skeleton_stays,
 )
-from adelic_diffusion.schwartz import SBFunction
+from adelic_diffusion.schwartz import SBFunction, eval_sb
 from conftest import fine_skeleton_exit_landings, trapezoid_action, tv_distance
 
 KP = KernelParams(2, 1.0, 1.0)
@@ -221,6 +222,66 @@ class TestEventPath:
         q = exit_prob(KP, 1.0, 2)
         se = math.sqrt(q * (1 - q) / n)
         assert abs(stay / n - q) <= 3 * se
+
+
+def _event_identity_case(p: int, r: int, events: float):
+    """Kernel, start, horizon and (potential, observable) terms at prime p and
+    resolution p^r: a start other than 0; a two-term potential with
+    coefficients 1 and 0.25; an observable with complex coefficients; a ball
+    p^2 levels above the resolution away from the start, so the window
+    reaches it only by widening; and a ball coarser than the start window."""
+    params = KernelParams(p, 0.7 if p == 3 else 1.0, 1.3)
+    start = PAdicScalar.from_rational(Fraction(1 + p, p), p, precision=12)
+    far = start + PAdicScalar(p, -(r + 2), 1, 12)
+    coarse = Ball(PAdicScalar.zero(p), r + 4)
+    action = ((Ball(start, r), 1.0 + 0j), (Ball(far, r + 1), 0.25 + 0j))
+    end = ((Ball(start, r), 0.5 - 0.25j), (Ball(far, r), 1.0 + 2.0j), (coarse, -0.75j))
+    return params, start, events / exit_rate(params, r), action, end
+
+
+class TestEventPathSums:
+    """event_path_sums makes sample_event_path's draws and returns exactly
+    what _path_action and eval_sb read off its paths (seeds fixed in advance)."""
+
+    CASES = [(p, r, 3.0, 1800 + 10 * p - r) for p in (2, 3, 5) for r in (-2, -1, 0, 1)]
+
+    @pytest.mark.parametrize("p, r, events, seed", CASES + [(3, -1, 1e-9, 1899)])
+    def test_path_by_path_identical_to_oracle(self, p, r, events, seed):
+        params, start, T, action, end = _event_identity_case(p, r, events)
+        n = 150
+        gen, oracle_gen = RngStream(seed).generator(), RngStream(seed).generator()
+        integrals, values = event_path_sums(params, start, T, r, gen, n, action, end)
+        paths = [sample_event_path(params, start, T, r, oracle_gen) for _ in range(n)]
+        f, g = SBFunction(p, action), SBFunction(p, end)
+        for j, path in enumerate(paths):
+            assert integrals[j] == _path_action(path, 1.0, f, T)
+            assert values[j] == eval_sb(g, path.end_position())
+        assert repr(gen.bit_generator.state) == repr(oracle_gen.bit_generator.state)
+        if events < 1:  # a horizon with no events
+            assert not any(path.events for path in paths)
+        else:  # some path widens to the far ball and ends inside it
+            assert any(end[1][0].contains(path.end_position()) for path in paths)
+            assert len({values[j] for j in range(n)}) > 2
+
+    def test_event_at_the_horizon_moves_only_the_end(self):
+        # holds 0.25 + 0.75 land an event at exactly T = 1: it ends the
+        # action's last segment at the old position but still moves X_T
+        class Holds(np.random.Generator):
+            def __init__(self, seed):
+                super().__init__(np.random.Philox(seed))
+                self.holds = [0.25, 0.75, 0.0, 9.0]
+
+            def exponential(self, scale=1.0, size=None):
+                return self.holds.pop(0)
+
+        params, start, _, action, end = _event_identity_case(3, -1, 1.0)
+        gen, oracle_gen = Holds(1898), Holds(1898)
+        integral, value = event_path_sums(params, start, 1.0, -1, gen, 1, action, end)
+        path = sample_event_path(params, start, 1.0, -1, oracle_gen)
+        assert [t for t, _ in path.events] == [0.25, 1.0, 1.0]
+        assert repr(gen.bit_generator.state) == repr(oracle_gen.bit_generator.state)
+        assert integral[0] == _path_action(path, 1.0, SBFunction(3, action), 1.0)
+        assert value[0] == eval_sb(SBFunction(3, end), path.end_position())
 
 
 class TestCrossSampler:
