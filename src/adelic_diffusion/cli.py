@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 import time
 import traceback
@@ -86,17 +85,6 @@ SEED_SCHEME = (
     "paths chunked by fixed index blocks, per-prime sub-streams, so outputs "
     "do not depend on worker count"
 )
-
-
-def _workers(cfg: RunConfig) -> int:
-    """Worker count from the config, else ADELIC_DIFFUSION_WORKERS, else 1."""
-    if "workers" in cfg:
-        return cfg.need("workers", int)
-    raw = os.environ.get("ADELIC_DIFFUSION_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"ADELIC_DIFFUSION_WORKERS={raw!r} is not an integer") from None
 
 
 class RunConfig(dict):
@@ -444,7 +432,6 @@ def fk_cmd(cfg, write):
     tt = cfg.need("t", float, 1.0)
     n = cfg.need("n_paths", int, 20_000)
     sd = cfg.need("seed", int, 1)
-    wk = _workers(cfg)
 
     alpha_f = _doc(cfg, "observable", observable_from_json) or SimpleAdelicSB.vacuum()
     pot = _doc(cfg, "potential", potential_from_json) or SimplePotential.zero()
@@ -457,7 +444,8 @@ def fk_cmd(cfg, write):
         y.max_active_index() if y else 0,
     ))
     req = FKRequest(sigma, bb, tt, x, alpha_f, pot, n, N, seed=sd, y=y,
-                    workers=wk, bridge_steps=cfg.need("bridge_steps", int, 128))
+                    workers=cfg.need("workers", int, 1),
+                    bridge_steps=cfg.need("bridge_steps", int, 128))
     rows = []
     try:
         if y is None:

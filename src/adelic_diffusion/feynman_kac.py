@@ -1,27 +1,28 @@
 """Monte Carlo estimation of the damped semigroup and its kernels.
 
 The semigroup acts on an observable by pi_t f(x) = E_x[e^{-int_0^t v} f(X_t)].
-Estimates run over adelic bundles truncated at N primes:
+Estimates run over adelic bundles truncated at N primes.  The path measure
+is a product over primes, so in both modes one pipeline compiles a request
+into an exact factor and per-prime plans, draws a column per plan from its
+own (chunk, prime) stream, and returns the factor times the product of the
+independent per-prime means, with the plug-in SE of that product:
 
-* exact mode: potentials and observables locally constant at known scales,
-  so event-driven paths make the action integral exact, endpoint-only
-  primes reduce to one radius, its sphere point integrated out, and vacuum,
-  potential-free primes to their exact free factor (no time discretization
-  anywhere).  Event paths run in `event_path_sums`, one window integer per
-  position, draw for draw and bit for bit what `sample_event_path`,
+* exact mode: potentials and observables locally constant at known scales.
+  Vacuum, potential-free primes give their exact free factor, other primes
+  without a potential one radius, its sphere point integrated out, and
+  primes with one event paths, so the action integral is exact (no time
+  discretization anywhere).  `event_path_sums` holds each position as one
+  window integer, draw for draw and bit for bit what `sample_event_path`,
   `_path_action` and `eval_sb` give;
-* kernel mode: bridge Monte Carlo times the analytic endpoint density.  The
-  batched engine `sample_bridges` fills every path of a chunk together in
-  a p-adic integer window, and the action is a time-symmetric trapezoid
-  over its ball memberships, so kernel estimates are exactly
-  reversal-symmetric in law.  `sample_bridge`, one path of `PAdicScalar`s,
-  is the digit-exact oracle it is tested against, one prime at a time.
+* kernel mode: the analytic endpoint density is the factor, and each prime
+  with a potential draws bridges.  `sample_bridges` fills every path of a
+  batch together in a p-adic integer window, and the action is a
+  time-symmetric trapezoid over its ball memberships, so kernel estimates
+  are exactly reversal-symmetric in law.  `sample_bridge`, one path of
+  `PAdicScalar`s, is the digit-exact oracle it is tested against.
 
-Each sampled prime draws from its own (chunk, prime) stream, and the path
-measure is a product over primes, so every estimate is the product of the
-independent per-prime means, with the plug-in SE of that product.  Paths are
-assigned to fixed-size chunks keyed by (seed, chunk index), so results are
-bit-identical for any worker count.
+Paths are assigned to fixed-size chunks keyed by (seed, chunk index), so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -158,19 +159,6 @@ def action_integral(path: EventPath, v: SimplePotential, t: float) -> float:
     return _path_action(path, tau, f, t)
 
 
-def bundle_action(bundle_components, v: SimplePotential, t: float) -> float:
-    """Sum of per-prime exact action integrals over an event-path bundle."""
-    if not all(isinstance(path, EventPath) for _, path in bundle_components):
-        raise ConfigError("exact action integrals need an event-path bundle, not skeletons")
-    sampled = {p for p, _ in bundle_components}
-    for p in v.component_primes():
-        if p not in sampled:
-            raise ConfigError(f"potential prime {p} not sampled in bundle")
-    return sum(
-        action_integral(path, v, t) for p, path in bundle_components
-    )
-
-
 # -- free propagation --------------------------------------------------------
 
 
@@ -240,22 +228,27 @@ def adelic_ball_probability(sigma: SigmaSequence, b: float, t: float,
     return free_propagate(sigma, b, t, alpha, x, N).interval()
 
 
-# -- chunked deterministic Monte Carlo engine --------------------------------
+# -- one Monte Carlo pipeline: compile, draw chunks, reduce, scale -------------
 
 
 @dataclass(frozen=True)
 class _PrimePlan:
-    slot: int
+    slot: int  # stream key: prime index - 1, or a bridge's place among the potential's primes
     params: KernelParams
     start: PAdicScalar
     alpha_f: SBFunction
     v_term: tuple[float, SBFunction] | None
     r_min: int
     law: RadialLaw | None  # increment law at t; None where nothing is sampled from it
+    spec: BridgeSpec | None = None  # kernel mode: the bridge drawn at this prime
 
     @property
     def folds(self) -> bool:  # no potential, vacuum factor: an exact mean
         return self.v_term is None and self.alpha_f.is_vacuum()
+
+    @property
+    def events(self) -> bool:  # an event path, whose f_p gets a column of its own
+        return self.v_term is not None and self.spec is None
 
 
 def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
@@ -291,6 +284,54 @@ def _require_known_to(x: PAdicScalar, radius_exp: int, what: str) -> None:
                              f"but radius p^{radius_exp} needs it mod p^{-radius_exp}")
 
 
+def _compile_exact(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
+    """(exact factor of the folded primes, plans of the sampled ones).
+
+    Vacuum factors convolve to reals, so the folded factor is real.
+    """
+    folded, sampled = 1.0, []
+    for plan in _compile_plans(req):
+        if plan.folds:
+            xc = req.x.component(plan.params.p)
+            folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
+        else:
+            sampled.append(plan)
+    return folded, tuple(sampled)
+
+
+def _compile_kernel(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
+    """(product over primes 1..N of the endpoint density rho^i(t, x_i - y_i),
+    a bridge plan per potential prime, in the potential's order)."""
+    if req.y is None:
+        raise ConfigError("kernel estimation needs an endpoint y")
+    if any(not f.is_vacuum() for _, f in req.alpha.factors):
+        raise ConfigError("kernel estimation takes no observable")
+    dens, plans = 1.0, []
+    for i in range(1, req.truncation + 1):
+        p = prime_at(i)
+        params = req.sigma.kernel_params(i, req.b)
+        kind, info = component_difference(req.x, req.y, p)
+        if kind == "exact":
+            e = info.abs_exp()
+            dens *= density(params, req.t, e) if e is not None else density_center(params, req.t)
+        elif kind == "exp":
+            dens *= density(params, req.t, info)
+        else:
+            raise PrecisionError(
+                f"kernel endpoint difference unresolved at prime {p}; "
+                "resolve both components or lower the truncation"
+            )
+        if (v_term := req.v.component(p)) is not None:
+            require_resolved(v_term[1], req.x.component(p))
+            require_resolved(v_term[1], req.y.component(p))
+            xc = req.x.component(p) or PAdicScalar.zero(p)
+            yc = req.y.component(p) or PAdicScalar.zero(p)
+            plans.append(_PrimePlan(req.v.component_primes().index(p), params, xc,
+                                    req.alpha.factor(p), v_term, resolution_for(v_term[1]),
+                                    None, BridgeSpec(params, req.t, xc, yc)))
+    return dens, tuple(sorted(plans, key=lambda plan: plan.slot))
+
+
 def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> np.ndarray:
     """E[f(X_t) | |X_t - start|] per path, from one increment radius p^m each.
 
@@ -312,42 +353,64 @@ def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> 
     return values
 
 
-def _event_factor(plan: _PrimePlan, t: float, gen: np.random.Generator,
-                  count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(action, observable factor) for primes carrying a potential term, from
-    event paths drawn as sample_event_path draws them; the values are those
-    of _path_action and eval_sb on its paths, bit for bit."""
-    tau, f = plan.v_term
-    _require_constant_at(plan.r_min, f)
-    integrals, values = event_path_sums(plan.params, plan.start, t, plan.r_min, gen, count,
-                                        f.terms, plan.alpha_f.terms)
-    return tau * integrals, values
+def _bridge_action(paths: BridgeWindow, tau: float, f: SBFunction) -> np.ndarray:
+    """tau * int_0^t f(X_s) ds per path, by the trapezoid rule over the bridge
+    grid (invariant under time reversal), from window ball memberships."""
+    vals = np.zeros(paths.offsets.shape)
+    for ball, coeff in f.terms:
+        vals += coeff.real * paths.in_ball(ball)
+    dt = np.diff(paths.times)
+    return tau * ((vals[:, :-1] + vals[:, 1:]) * (0.5 * dt)).sum(axis=1)
 
 
-def _fk_exact_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
-    """Per-prime columns, shape (count, 2, primes): f_p e^{-A_p} and f_p."""
+def _plain_columns(plans) -> list[int]:
+    """The chunk column holding f_p for each exact-mode plan: its own at an
+    endpoint prime (A_p = 0), else one of the columns after the weighted ones."""
+    extra = iter(range(len(plans), 2 * len(plans)))
+    return [next(extra) if plan.events else col for col, plan in enumerate(plans)]
+
+
+def _chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
+    """Per-prime columns, shape (count, k + e): f_p e^{-A_p} for each of the k
+    plans (f_p = 1 on bridges, A_p = 0 at endpoint primes), then f_p for each
+    of the e plans that run event paths.
+
+    Event paths give the values of sample_event_path, _path_action and
+    eval_sb, bit for bit.
+    """
     stream = RngStream(req.seed)
-    out = np.empty((count, 2, len(plans)), dtype=complex)
+    plain = _plain_columns(plans)
+    out = np.empty((count, len(plans) + sum(plan.events for plan in plans)), dtype=complex)
     for col, plan in enumerate(plans):
-        gen = stream.child(chunk_idx, plan.slot).generator()
-        if plan.v_term is None:
-            vals = out[:, 0, col] = _endpoint_factor(plan, gen, count)
+        # a leading 0 keys bridge streams apart from exact-mode ones; seeded kernel files rely on it
+        key = (chunk_idx, plan.slot) if plan.spec is None else (0, chunk_idx, plan.slot)
+        gen = stream.child(*key).generator()
+        if plan.spec is not None:
+            tau, f = plan.v_term
+            cover = tuple(ball for ball, _ in f.terms)
+            for lo in range(0, count, BRIDGE_BATCH):
+                n = min(BRIDGE_BATCH, count - lo)
+                paths = sample_bridges(plan.spec, req.bridge_steps, n, gen, PRECISION, cover=cover)
+                out[lo:lo + n, col] = np.exp(-_bridge_action(paths, tau, f))
+        elif plan.v_term is None:
+            out[:, col] = _endpoint_factor(plan, gen, count)
         else:
-            acts, vals = _event_factor(plan, req.t, gen, count)
-            out[:, 0, col] = vals * np.exp(-acts)
-        out[:, 1, col] = vals
+            tau, f = plan.v_term
+            integrals, values = event_path_sums(plan.params, plan.start, req.t, plan.r_min, gen,
+                                                count, f.terms, plan.alpha_f.terms)
+            out[:, col] = values * np.exp(-(tau * integrals))
+            out[:, plain[col]] = values
     return out
 
 
-def _fk_chunk_entry(args):
-    chunk_fn, req, plans, chunk_idx, count = args
-    return chunk_fn(req, plans, chunk_idx, count)
+def _chunk_entry(args):
+    return _chunk(*args)
 
 
-def _run_chunks(chunk_fn, req: FKRequest, plans) -> np.ndarray:
+def _run_chunks(req: FKRequest, plans) -> np.ndarray:
     """The chunks' arrays stacked in chunk order, each copied into one
     preallocated (n_paths, ...) array as it arrives and then dropped."""
-    tasks = [(chunk_fn, req, plans, i, min(req.chunk_size, req.n_paths - lo))
+    tasks = [(req, plans, i, min(req.chunk_size, req.n_paths - lo))
              for i, lo in enumerate(range(0, req.n_paths, req.chunk_size))]
 
     def fill(chunks) -> np.ndarray:
@@ -361,11 +424,11 @@ def _run_chunks(chunk_fn, req: FKRequest, plans) -> np.ndarray:
     if req.workers > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=req.workers) as pool:
-                return fill(pool.map(_fk_chunk_entry, tasks))
+                return fill(pool.map(_chunk_entry, tasks))
         except OSError as exc:
             warnings.warn(f"process pool unavailable ({exc!r}); running chunks serially",
                           RuntimeWarning, stacklevel=2)
-    return fill(map(_fk_chunk_entry, tasks))
+    return fill(map(_chunk_entry, tasks))
 
 
 # -- reduction over primes ----------------------------------------------------
@@ -438,32 +501,21 @@ def _difference_se(plain: np.ndarray, weighted: np.ndarray) -> float:
     return math.sqrt(vd)
 
 
-def _sample_exact(req: FKRequest) -> tuple[float, float, np.ndarray | None]:
-    """(tail certificate, exact factor of the folded primes, per-prime chunk
-    columns of the sampled ones, or None where every prime folds).
-
-    Vacuum factors convolve to reals, so the folded factor is real.
-    """
-    plans = _compile_plans(req)
-    cert = tail_certificate(req.sigma, req.b, req.t, req.truncation)
-    folded, sampled = 1.0, []
-    for plan in plans:
-        if plan.folds:
-            xc = req.x.component(plan.params.p)
-            folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
-        else:
-            sampled.append(plan)
-    data = _run_chunks(_fk_exact_chunk, req, tuple(sampled)) if sampled else None
-    return cert, folded, data
+def _weighted_mean_se(req: FKRequest, plans) -> tuple[complex, float]:
+    """Product of the per-prime means of f_p e^{-A_p} and its SE; exactly 1,
+    SE 0, where nothing is sampled."""
+    if not plans:
+        return 1 + 0j, 0.0
+    return _product_mean_se(_run_chunks(req, plans)[:, :len(plans)])
 
 
-def _folded_estimate(req: FKRequest, cert: float, folded: float,
-                     columns: np.ndarray) -> FKEstimate:
-    """The product of the column means and its SE, scaled by the folded factor."""
-    mean, se = _product_mean_se(columns)
+def _estimate(req: FKRequest, factor: float, mean: complex, se: float,
+              **kernel_fields) -> FKEstimate:
+    """The exact factor times a product of per-prime means, and its SE."""
     # componentwise, so a factor of exactly 1 keeps every bit (signed zeros too)
-    return FKEstimate(complex(mean.real * folded, mean.imag * folded), se * abs(folded),
-                      req.n_paths, cert)
+    return FKEstimate(complex(mean.real * factor, mean.imag * factor), se * abs(factor),
+                      req.n_paths, tail_certificate(req.sigma, req.b, req.t, req.truncation),
+                      **kernel_fields)
 
 
 def fk_expectation(req: FKRequest) -> FKEstimate:
@@ -476,10 +528,8 @@ def fk_expectation(req: FKRequest) -> FKEstimate:
     integral is exact.  The estimate is the product of the per-prime means
     of f_p e^{-A_p}, scaled by the folded factor.
     """
-    cert, folded, data = _sample_exact(req)
-    if data is None:
-        return FKEstimate(complex(folded), 0.0, req.n_paths, cert)
-    return _folded_estimate(req, cert, folded, data[:, 0])
+    folded, plans = _compile_exact(req)
+    return _estimate(req, folded, *_weighted_mean_se(req, plans))
 
 
 def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
@@ -492,92 +542,17 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     primes independent.  The folded primes' exact factor scales the means
     and SEs of the sampled ones, which keep their streams.
     """
-    cert, folded, data = _sample_exact(req)
-    if data is None:
-        exact = FKEstimate(complex(folded), 0.0, req.n_paths, cert)
+    folded, plans = _compile_exact(req)
+    if not plans:
+        exact = _estimate(req, folded, 1 + 0j, 0.0)
         return exact, exact, 0.0
-    weighted, plain = data[:, 0], data[:, 1]
+    data = _run_chunks(req, plans)
+    weighted, plain = data[:, :len(plans)], data[:, _plain_columns(plans)]
     return (
-        _folded_estimate(req, cert, folded, weighted),
-        _folded_estimate(req, cert, folded, plain),
+        _estimate(req, folded, *_product_mean_se(weighted)),
+        _estimate(req, folded, *_product_mean_se(plain)),
         _difference_se(plain, weighted) * abs(folded),
     )
-
-
-# -- kernels -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _BridgePlan:
-    slot: int
-    spec: BridgeSpec
-    tau: float
-    f: SBFunction
-
-
-def _bridge_action(paths: BridgeWindow, tau: float, f: SBFunction) -> np.ndarray:
-    """tau * int_0^t f(X_s) ds per path, by the trapezoid rule over the bridge
-    grid (invariant under time reversal), from window ball memberships."""
-    vals = np.zeros(paths.offsets.shape)
-    for ball, coeff in f.terms:
-        vals += coeff.real * paths.in_ball(ball)
-    dt = np.diff(paths.times)
-    return tau * ((vals[:, :-1] + vals[:, 1:]) * (0.5 * dt)).sum(axis=1)
-
-
-def _kernel_chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
-    """e^{-action} per path and plan, from batches of bridges drawn in turn
-    from the plan's stream."""
-    stream = RngStream(req.seed)
-    out = np.ones((count, len(plans)))
-    for col, plan in enumerate(plans):
-        # the leading 0 is kept so that seeded kernel streams, and files, do not change
-        gen = stream.child(0, chunk_idx, plan.slot).generator()
-        cover = tuple(ball for ball, _ in plan.f.terms)
-        for lo in range(0, count, BRIDGE_BATCH):
-            n = min(BRIDGE_BATCH, count - lo)
-            paths = sample_bridges(plan.spec.params, plan.spec, req.bridge_steps, n, gen,
-                                   PRECISION, cover=cover)
-            out[lo:lo + n, col] = np.exp(-_bridge_action(paths, plan.tau, plan.f))
-    return out
-
-
-def _kernel_density_factor(req: FKRequest) -> float:
-    """Product over primes 1..N of the endpoint density rho^i(t, x_i - y_i)."""
-    if any(not f.is_vacuum() for _, f in req.alpha.factors):
-        raise ConfigError("kernel estimation takes no observable")
-    total = 1.0
-    for i in range(1, req.truncation + 1):
-        p = prime_at(i)
-        params = req.sigma.kernel_params(i, req.b)
-        kind, info = component_difference(req.x, req.y, p)
-        if kind == "exact":
-            e = info.abs_exp()
-            total *= (
-                density(params, req.t, e) if e is not None
-                else density_center(params, req.t)
-            )
-        elif kind == "exp":
-            total *= density(params, req.t, info)
-        else:
-            raise PrecisionError(
-                f"kernel endpoint difference unresolved at prime {p}; "
-                "resolve both components or lower the truncation"
-            )
-    return total
-
-
-def _bridge_plans(req: FKRequest) -> tuple[_BridgePlan, ...]:
-    plans = []
-    for slot, p in enumerate(req.v.component_primes()):
-        params = req.sigma.kernel_params(prime_index(p), req.b)
-        tau, f = req.v.component(p)
-        require_resolved(f, req.x.component(p))
-        require_resolved(f, req.y.component(p))
-        xc = req.x.component(p) or PAdicScalar.zero(p)
-        yc = req.y.component(p) or PAdicScalar.zero(p)
-        plans.append(_BridgePlan(slot, BridgeSpec(params, req.t, xc, yc), tau, f))
-    return tuple(plans)
 
 
 def fk_kernel(req: FKRequest) -> FKEstimate:
@@ -590,20 +565,9 @@ def fk_kernel(req: FKRequest) -> FKEstimate:
     bridge factor is the product of the per-prime means.  The trapezoid
     action makes the estimator's law invariant under swapping x and y.
     """
-    if req.y is None:
-        raise ConfigError("kernel estimation needs an endpoint y")
-    dens = _kernel_density_factor(req)
-    plans = _bridge_plans(req)
-    mean, se = (_product_mean_se(_run_chunks(_kernel_chunk, req, plans).astype(complex))
-                if plans else (1 + 0j, 0.0))
-    return FKEstimate(
-        value=complex(mean.real * dens),
-        std_error=se * dens,
-        n_paths=req.n_paths,
-        tail_certificate=tail_certificate(req.sigma, req.b, req.t, req.truncation),
-        density_factor=dens,
-        bridge_factor=mean.real,
-    )
+    dens, plans = _compile_kernel(req)
+    mean, se = _weighted_mean_se(req, plans)
+    return _estimate(req, dens, mean, se, density_factor=dens, bridge_factor=mean.real)
 
 
 # -- semigroup and generator checks ------------------------------------------

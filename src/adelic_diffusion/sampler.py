@@ -11,11 +11,12 @@ Three samplers:
   a midpoint given two pinned endpoints is sampled exactly by enumerating
   the ultrametric joint-radius classes of (|z-x|, |z-y|).
 
-Bridges come two ways.  `sample_bridges` fills a whole batch of paths at
-once, one level of the midpoint recursion at a time, with every position
-an integer in a p-adic window (see `padic.window_int`); the kernel
-estimators run on it.  `sample_bridge` draws one path as `PAdicScalar`s and
-is the digit-exact oracle the batched engine is tested against in law.
+Bridges come two ways, both under the law their `BridgeSpec` names.
+`sample_bridges` fills a whole batch of paths at once, one level of the
+midpoint recursion at a time, with every position an integer in a p-adic
+window (see `padic.window_int`); `fk_kernel` runs on it.  `sample_bridge`
+draws one path as `PAdicScalar`s and is the digit-exact oracle the batched
+engine is tested against in law.
 Likewise `event_path_sums` makes `sample_event_path`'s draws with each
 position one integer modulo B_{r_min}, for the exact estimator.
 """
@@ -363,14 +364,15 @@ def _bridge_point(params: KernelParams, s0: float, x0: PAdicScalar,
     raise TruncationError(f"equal-sphere bridge draw rejected {MAX_EQUAL_SPHERE_TRIES} times")
 
 
-def _check_endpoint_density(params: KernelParams, spec: BridgeSpec) -> None:
+def _check_endpoint_density(spec: BridgeSpec) -> None:
     d_exp = (spec.y - spec.x).abs_exp()
-    rho = density(params, spec.t, d_exp) if d_exp is not None else density_center(params, spec.t)
+    rho = (density(spec.params, spec.t, d_exp) if d_exp is not None
+           else density_center(spec.params, spec.t))
     if not rho > 0.0:
         raise BridgeUnderflowError(f"endpoint density underflows at separation exponent {d_exp}")
 
 
-def sample_bridge(params: KernelParams, spec: BridgeSpec, epochs, rng,
+def sample_bridge(spec: BridgeSpec, epochs, rng,
                   precision: int = DEFAULT_PRECISION) -> PathSkeleton:
     """Bridge skeleton at the given epochs inside (0, t), endpoints pinned.
 
@@ -381,8 +383,8 @@ def sample_bridge(params: KernelParams, spec: BridgeSpec, epochs, rng,
         raise ValueError("epochs must lie strictly inside (0, t)")
     if len(set(epochs)) != len(epochs):
         raise ValueError("epochs must be distinct")
-    _check_endpoint_density(params, spec)
-    gen = as_generator(rng)
+    _check_endpoint_density(spec)
+    params, gen = spec.params, as_generator(rng)
     filled: dict[float, PAdicScalar] = {}
 
     def fill(left_t, left_x, right_t, right_x, eps):
@@ -453,8 +455,8 @@ class BridgeWindow:
         return (self.offsets % mod) == key
 
 
-def sample_bridges(params: KernelParams, spec: BridgeSpec, steps: int, count: int,
-                   rng, precision: int, cover=()) -> BridgeWindow:
+def sample_bridges(spec: BridgeSpec, steps: int, count: int, rng, precision: int,
+                   cover=()) -> BridgeWindow:
     """count bridges of spec on the grid t*k/steps, k = 0..steps, drawn together.
 
     The law is sample_bridge's at the same epochs: each level of its
@@ -469,7 +471,8 @@ def sample_bridges(params: KernelParams, spec: BridgeSpec, steps: int, count: in
     """
     if steps < 2 or count < 1:
         raise ValueError("a bridge batch needs steps >= 2 and count >= 1")
-    _check_endpoint_density(params, spec)
+    _check_endpoint_density(spec)
+    params = spec.params
     p = params.p
     d = spec.y - spec.x
     gap = d.abs_exp()

@@ -218,7 +218,7 @@ def check_bridge_inequality(fast: bool) -> CheckResult:
     spec = BridgeSpec(params, t, x, y)
     stay_b = stay_f = 0
     for _ in range(n):
-        sk = sample_bridge(params, spec, epochs, genb, 16)
+        sk = sample_bridge(spec, epochs, genb, 16)
         if all(v.is_zero() or v.abs_exp() <= 0 for v in sk.values):
             stay_b += 1
         sk2 = sample_skeleton(params, epochs + [t], x, genf, 16)

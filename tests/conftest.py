@@ -11,15 +11,16 @@ import pytest
 
 @pytest.fixture()
 def run_chunks_calls(monkeypatch):
-    """A list that grows by one for each call of feynman_kac._run_chunks, so a
-    test can show that its request sampled rather than folded exactly."""
+    """A list that grows by the plans of each call of feynman_kac._run_chunks,
+    so a test can show that its request sampled rather than folded exactly,
+    and what it sampled."""
     from adelic_diffusion import feynman_kac
 
     calls, real = [], feynman_kac._run_chunks
 
-    def counting(*args):
-        calls.append(args[0].__name__)
-        return real(*args)
+    def counting(req, plans):
+        calls.append(plans)
+        return real(req, plans)
 
     monkeypatch.setattr(feynman_kac, "_run_chunks", counting)
     return calls

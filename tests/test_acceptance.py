@@ -279,7 +279,7 @@ def test_10_product_factorization():
         spec = BridgeSpec(params, 1.0, x.component(p), y.component(p))
         gen = RngStream(9301).child(p).generator()
         tau, f = pot.component(p)
-        w = [math.exp(-trapezoid_action(sample_bridge(params, spec, epochs, gen, 24), tau, f))
+        w = [math.exp(-trapezoid_action(sample_bridge(spec, epochs, gen, 24), tau, f))
              for _ in range(n_oracle)]
         means.append(np.mean(w))
         variances.append(np.var(w, ddof=1) / n_oracle)

@@ -346,18 +346,12 @@ class TestExitCodes:
 
 
 class TestWorkerCount:
-    def fk(self, runner, tmp_path, args, env=None):
+    def fk(self, runner, tmp_path, args):
         return runner.invoke(main, ["fk", "--n-paths", "10", "-N", "2", *args,
-                                    "-o", str(tmp_path / "fk.csv")], env=env)
-
-    def test_non_integer_environment_is_config_error(self, runner, tmp_path):
-        res = self.fk(runner, tmp_path, [], env={"ADELIC_DIFFUSION_WORKERS": "abc"})
-        assert res.exit_code == 2
-        assert "ADELIC_DIFFUSION_WORKERS" in res.output
+                                    "-o", str(tmp_path / "fk.csv")])
 
     def test_zero_workers_is_config_error(self, runner, tmp_path):
-        res = self.fk(runner, tmp_path, ["--workers", "0"],
-                      env={"ADELIC_DIFFUSION_WORKERS": "2"})
+        res = self.fk(runner, tmp_path, ["--workers", "0"])
         assert res.exit_code == 2
         assert "workers must be positive" in res.output
 

@@ -76,32 +76,6 @@ class TestActionIntegral:
         with pytest.raises(ResolutionError):
             action_integral(path, pot, 1.0)
 
-    def test_bundle_action_sums_components(self):
-        from adelic_diffusion.feynman_kac import bundle_action
-        from adelic_diffusion import sample_adelic_path
-
-        pot = SimplePotential.of({
-            2: (0.5, SBFunction.vacuum(2)),
-            3: (0.25, SBFunction.vacuum(3)),
-        })
-        bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), 2,
-                                    RngStream(720), resolution=0)
-        total = bundle_action(bundle.components, pot, 1.0)
-        parts = sum(
-            action_integral(path, pot, 1.0) for _, path in bundle.components
-        )
-        assert total == pytest.approx(parts, rel=1e-14)
-
-    def test_bundle_action_rejects_skeletons(self):
-        from adelic_diffusion.feynman_kac import bundle_action
-        from adelic_diffusion import sample_adelic_path
-
-        pot = SimplePotential.of({2: (0.5, SBFunction.vacuum(2))})
-        bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), 1,
-                                    RngStream(721), epochs=[0.5, 1.0])
-        with pytest.raises(ConfigError, match="event-path bundle"):
-            bundle_action(bundle.components, pot, 1.0)
-
 
 class TestFreePropagate:
     def test_vacuum_product_with_tail(self):
@@ -431,6 +405,47 @@ class TestPinnedEventValues:
             'composed=0.6840621064479072, combined_se=0.07522765919454613)')
 
 
+# Kernel and folded values pinned from the two-pipeline estimators (a bridge
+# plan type and chunk function of their own in kernel mode); the one pipeline
+# must reproduce them to the last digit.
+KERNEL_X = AdelicPoint.resolved_zeros(3)
+KERNEL_Y = AdelicPoint.resolved_zeros(3, p2=PAdicScalar.from_int(1, 2),
+                                      p3=PAdicScalar.from_rational(Fraction(2, 3), 3))
+KERNEL_POT = SimplePotential.of({  # bridge slots 0 and 1
+    2: (0.6, SBFunction.indicator(Ball(PAdicScalar.zero(2), 0))),
+    3: (0.5, SBFunction(3, ((Ball(PAdicScalar.zero(3), -1), 1.0 + 0j),
+                            (Ball(PAdicScalar.from_int(1, 3), 0), 0.25 + 0j)))),
+})
+
+
+class TestPinnedKernelAndFoldedValues:
+    def test_kernel_both_ways_at_every_worker_count(self):
+        # 700 paths in chunks of 300: a chunk of two bridge batches, and a short one
+        req = FKRequest(SIG, B, 1.0, KERNEL_X, OM, KERNEL_POT, 700, 3, seed=1901, y=KERNEL_Y,
+                        bridge_steps=8, chunk_size=300)
+        for w in (1, 4):
+            assert repr(fk_kernel(replace(req, workers=w))) == (
+                'FKEstimate(value=(0.032025870226101046+0j), std_error=0.00021489156784913887, '
+                'n_paths=700, tail_certificate=0.9541776794342406, '
+                'density_factor=0.07750939183400865, bridge_factor=0.4131869631319841)')
+            assert repr(fk_kernel(replace(req, x=KERNEL_Y, y=KERNEL_X, seed=1902, workers=w))) == (
+                'FKEstimate(value=(0.03220330236795779+0j), std_error=0.00022012520530859846, '
+                'n_paths=700, tail_certificate=0.9541776794342406, '
+                'density_factor=0.07750939183400865, bridge_factor=0.41547613271077183)')
+        assert repr(fk_kernel(replace(req, v=V0))) == (
+            'FKEstimate(value=(0.07750939183400865+0j), std_error=0.0, n_paths=700, '
+            'tail_certificate=0.9541776794342406, density_factor=0.07750939183400865, '
+            'bridge_factor=1.0)')
+
+    def test_all_folded_pair(self):
+        x = AdelicPoint.of({2: PAdicScalar.from_rational(Fraction(1, 2), 2)})
+        req = FKRequest(SIG, B, 1.0, x, OM, V0, 500, 6, seed=1903)
+        exact = ('FKEstimate(value=(0.0613838737862764+0j), std_error=0.0, n_paths=500, '
+                 'tail_certificate=0.9841489984914149, density_factor=None, bridge_factor=None)')
+        assert repr(fk_expectation_pair(req)) == f'({exact}, {exact}, 0.0)'
+        assert repr(fk_expectation(req)) == exact
+
+
 class TestProductReduction:
     """Estimates are products of independent per-prime means."""
 
@@ -465,7 +480,12 @@ class TestProductReduction:
                 repr((ref[0].real, ref[0].imag, ref[1]))
 
     def test_product_se_not_above_joint_on_same_columns(self):
-        from adelic_diffusion.feynman_kac import _compile_plans, _fk_exact_chunk, _product_mean_se
+        from adelic_diffusion.feynman_kac import (
+            _chunk,
+            _compile_plans,
+            _plain_columns,
+            _product_mean_se,
+        )
 
         pot = SimplePotential.of({2: (0.8, SBFunction.indicator(Ball(PAdicScalar.zero(2), -1)))})
         x = AdelicPoint.resolved_zeros(3)
@@ -474,8 +494,10 @@ class TestProductReduction:
         req = FKRequest(SIG, B, 2.0, x, alpha_f, pot, 4000, 3, seed=16_050)
         plans = _compile_plans(req)
         assert not any(plan.folds for plan in plans)
-        data = _fk_exact_chunk(req, plans, 0, req.n_paths)
-        for columns in (data[:, 0], data[:, 1]):  # weighted and plain, all >= 0 and real
+        data = _chunk(req, plans, 0, req.n_paths)
+        # weighted, then plain: the event path at 2 has its own f_p column
+        assert data.shape == (req.n_paths, 4) and _plain_columns(plans) == [3, 1, 2]
+        for columns in (data[:, :3], data[:, [3, 1, 2]]):  # all >= 0 and real
             assert (columns.real >= 0).all() and not columns.imag.any()
             _, product_se = _product_mean_se(columns)
             _, joint_se = _product_mean_se(np.prod(columns, axis=1, keepdims=True))
@@ -536,8 +558,9 @@ class TestKernels:
         req = FKRequest(SIG, B, 1.0, self.X, OM, pot23, 600, 2, seed=724, y=self.Y,
                         bridge_steps=16, chunk_size=200)
         ests = [fk_kernel(replace(req, workers=w)) for w in (1, 4, 8)]
-        # three chunks per call
-        assert run_chunks_calls == ["_kernel_chunk"] * 3
+        # one call per worker count, each sampling bridges at both potential slots
+        assert [tuple(plan.slot for plan in plans if plan.spec) for plans in run_chunks_calls] \
+            == [(0, 1)] * 3
         assert ests[0].std_error > 0
         assert ests[0] == ests[1] == ests[2]
 

@@ -327,8 +327,7 @@ class TestBridge:
 
     def test_endpoints_pinned(self):
         y = PAdicScalar.from_int(3, 2, 24)
-        sk = sample_bridge(KP, BridgeSpec(KP, 1.0, ZERO, y), [0.25, 0.5, 0.75],
-                           RngStream(115), 24)
+        sk = sample_bridge(BridgeSpec(KP, 1.0, ZERO, y), [0.25, 0.5, 0.75], RngStream(115), 24)
         assert sk.times == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert sk.values[0] == ZERO and sk.values[-1] == y
 
@@ -364,7 +363,7 @@ class TestBridge:
         spec = BridgeSpec(KP, t, ZERO, y)
         cls_b = Counter()
         for _ in range(n_bridge):
-            z = sample_bridge(KP, spec, [s], gen, 20).values[1]
+            z = sample_bridge(spec, [s], gen, 20).values[1]
             cls_b[radial_class(z)] += 1
         gen2 = RngStream(117).generator()
         cls_r = Counter()
@@ -385,13 +384,13 @@ class TestBridge:
     def test_underflow_error(self):
         far = PAdicScalar(2, -(2**17), 1, 8)
         with pytest.raises(BridgeUnderflowError):
-            sample_bridge(KP, BridgeSpec(KP, 1e-3, ZERO, far), [5e-4], RngStream(118))
+            sample_bridge(BridgeSpec(KP, 1e-3, ZERO, far), [5e-4], RngStream(118))
 
     def test_determinism(self):
         y = PAdicScalar.from_int(5, 2, 24)
         spec = BridgeSpec(KP, 1.0, ZERO, y)
-        a = sample_bridge(KP, spec, [0.5], RngStream(119).child(1), 16)
-        b = sample_bridge(KP, spec, [0.5], RngStream(119).child(1), 16)
+        a = sample_bridge(spec, [0.5], RngStream(119).child(1), 16)
+        b = sample_bridge(spec, [0.5], RngStream(119).child(1), 16)
         assert a == b
 
     def test_equal_sphere_rejection_is_capped(self):
@@ -470,8 +469,8 @@ class TestBridgeEngine:
         kp = KernelParams(p, 1.0, 1.0)
         spec = BridgeSpec(kp, 1.0, x, y)
         mid = self.STEPS // 2
-        paths = sample_bridges(kp, spec, self.STEPS, self.N_ENGINE, RngStream(12_100 + 10 * k),
-                               24, cover=tuple(b for b, _ in f.terms))
+        paths = sample_bridges(spec, self.STEPS, self.N_ENGINE, RngStream(12_100 + 10 * k), 24,
+                               cover=tuple(b for b, _ in f.terms))
         engine_cls = Counter(midpoint_class(window_point(paths, i, mid), x, y)
                              for i in range(self.N_ENGINE))
         engine_w = np.exp(-_bridge_action(paths, tau, f))
@@ -479,7 +478,7 @@ class TestBridgeEngine:
         epochs = [j / self.STEPS for j in range(1, self.STEPS)]
         oracle_cls, oracle_w = Counter(), []
         for _ in range(self.N_ORACLE):
-            sk = sample_bridge(kp, spec, epochs, gen, 24)
+            sk = sample_bridge(spec, epochs, gen, 24)
             oracle_cls[midpoint_class(sk.values[mid], x, y)] += 1
             oracle_w.append(math.exp(-trapezoid_action(sk, tau, f)))
         tv = tv_distance({c: m / self.N_ENGINE for c, m in engine_cls.items()},
@@ -495,10 +494,10 @@ class TestBridgeEngine:
         # no cover and x = y: the window starts empty and every level widens it
         kp3 = KernelParams(3, 1.0, 1.0)
         x = PAdicScalar.from_int(5, 3, 24)
-        paths = sample_bridges(kp3, BridgeSpec(kp3, 1.0, x, x), 16, 50, RngStream(12_200), 24)
+        paths = sample_bridges(BridgeSpec(kp3, 1.0, x, x), 16, 50, RngStream(12_200), 24)
         assert paths.width >= 24
         y = PAdicScalar.from_rational(Fraction(7, 9), 3, 24)
-        paths = sample_bridges(kp3, BridgeSpec(kp3, 1.0, x, y), 16, 50, RngStream(12_201), 24)
+        paths = sample_bridges(BridgeSpec(kp3, 1.0, x, y), 16, 50, RngStream(12_201), 24)
         for i in range(50):
             pts = [window_point(paths, i, k) for k in range(17)]
             assert pts[0] == x + PAdicScalar.zero(3, paths.width - paths.coarse)
@@ -516,15 +515,15 @@ class TestBridgeEngine:
     def test_batch_is_deterministic(self):
         y = PAdicScalar.from_int(5, 2, 24)
         spec = BridgeSpec(KP, 1.0, ZERO, y)
-        a = sample_bridges(KP, spec, 8, 20, RngStream(12_202).child(1), 24)
-        b = sample_bridges(KP, spec, 8, 20, RngStream(12_202).child(1), 24)
+        a = sample_bridges(spec, 8, 20, RngStream(12_202).child(1), 24)
+        b = sample_bridges(spec, 8, 20, RngStream(12_202).child(1), 24)
         assert (a.coarse, a.width) == (b.coarse, b.width)
         assert (a.offsets == b.offsets).all()
 
     def test_underflow_error(self):
         far = PAdicScalar(2, -(2**17), 1, 8)
         with pytest.raises(BridgeUnderflowError):
-            sample_bridges(KP, BridgeSpec(KP, 1e-3, ZERO, far), 2, 4, RngStream(12_203), 24)
+            sample_bridges(BridgeSpec(KP, 1e-3, ZERO, far), 2, 4, RngStream(12_203), 24)
 
     def test_equal_sphere_rejection_is_capped(self):
         from adelic_diffusion.sampler import (
@@ -554,7 +553,7 @@ class TestBridgeEngine:
 
         gen = StuckGenerator(np.random.Philox(0))
         with pytest.raises(TruncationError, match="equal-sphere"):
-            sample_bridges(kp3, BridgeSpec(kp3, 1.0, PAdicScalar.zero(3), x1), 2, 1, gen, 24)
+            sample_bridges(BridgeSpec(kp3, 1.0, PAdicScalar.zero(3), x1), 2, 1, gen, 24)
         assert gen.leads == MAX_EQUAL_SPHERE_TRIES
 
 
