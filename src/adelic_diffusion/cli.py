@@ -54,7 +54,7 @@ from .errors import (
     TruncationError,
     ValuationRangeError,
 )
-from .feynman_kac import FKRequest, fk_expectation, fk_kernel, free_propagate
+from .feynman_kac import FKRequest, _min_truncation, fk_expectation, fk_kernel, free_propagate
 from .heat_kernel import (
     KernelParams,
     alpha,
@@ -439,10 +439,7 @@ def fk_cmd(cfg, write):
     x = given_x or AdelicPoint.zero()
     y = _doc(cfg, "endpoint", point_from_json)
 
-    N = cfg.need("truncation", int, max(
-        4, x.max_active_index(),
-        y.max_active_index() if y else 0,
-    ))
+    N = cfg.need("truncation", int, max(4, _min_truncation(x, y, alpha_f, pot)))
     req = FKRequest(sigma, bb, tt, x, alpha_f, pot, n, N, seed=sd, y=y,
                     workers=cfg.need("workers", int, 1),
                     bridge_steps=cfg.need("bridge_steps", int, 128))

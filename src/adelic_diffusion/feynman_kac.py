@@ -13,7 +13,10 @@ independent per-prime means, with the plug-in SE of that product:
   primes with one event paths, so the action integral is exact (no time
   discretization anywhere).  `event_path_sums` holds each position as one
   window integer, draw for draw and bit for bit what `sample_event_path`,
-  `_path_action` and `eval_sb` give;
+  `_path_action` and `eval_sb` give.  At an event-path prime the exact free
+  factor F_p = E f_p(X_t) is a control variate: once every chunk is drawn,
+  `_controlled` rewrites its damped column to W - beta_p (f_p(X_t) - F_p),
+  so the draws stay the oracle's and only the damping carries noise;
 * kernel mode: the analytic endpoint density is the factor, and each prime
   with a potential draws bridges.  `sample_bridges` fills every path of a
   batch together in a p-adic integer window, and the action is a
@@ -112,13 +115,20 @@ class FKRequest:
             raise ConfigError("workers must be positive")
         if self.bridge_steps < 2:
             raise ConfigError("bridge_steps must be at least 2")
-        if self.truncation < max(
-            self.x.max_active_index(),
-            self.y.max_active_index() if self.y is not None else 0,
-            max((prime_index(p) for p in self.v.component_primes()), default=0),
-            max((prime_index(p) for p in self.alpha.factor_primes()), default=0),
-        ):
+        if self.truncation < _min_truncation(self.x, self.y, self.alpha, self.v):
             raise ConfigError("truncation must cover active primes and factors")
+
+
+def _min_truncation(x: AdelicPoint, y: AdelicPoint | None, alpha: SimpleAdelicSB,
+                    v: SimplePotential) -> int:
+    """The index of the last prime a request must cover: every active point
+    component, observable factor and potential component."""
+    return max(
+        x.max_active_index(),
+        y.max_active_index() if y is not None else 0,
+        max((prime_index(p) for p in v.component_primes()), default=0),
+        max((prime_index(p) for p in alpha.factor_primes()), default=0),
+    )
 
 
 @dataclass(frozen=True)
@@ -241,6 +251,7 @@ class _PrimePlan:
     r_min: int
     law: RadialLaw | None  # increment law at t; None where nothing is sampled from it
     spec: BridgeSpec | None = None  # kernel mode: the bridge drawn at this prime
+    control: tuple[complex, float] | None = None  # event paths: (F_p, beta_p), see _controlled
 
     @property
     def folds(self) -> bool:  # no potential, vacuum factor: an exact mean
@@ -287,13 +298,21 @@ def _require_known_to(x: PAdicScalar, radius_exp: int, what: str) -> None:
 def _compile_exact(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
     """(exact factor of the folded primes, plans of the sampled ones).
 
-    Vacuum factors convolve to reals, so the folded factor is real.
+    Vacuum factors convolve to reals, so the folded factor is real.  Each
+    event plan carries its control: the exact free factor F_p = E f_p(X_t)
+    and beta_p = e^{-t s_p}, where s_p = sum_j max(tau Re c_j, 0) bounds
+    tau Re v_p from above, so beta_p <= e^{-A_p} on every path.
     """
     folded, sampled = 1.0, []
     for plan in _compile_plans(req):
+        xc = req.x.component(plan.params.p)
         if plan.folds:
-            xc = req.x.component(plan.params.p)
             folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
+        elif plan.events:
+            tau, f = plan.v_term
+            sup = sum(max(tau * coeff.real, 0.0) for _, coeff in f.terms)
+            free = _factor_convolution(plan.params, req.t, plan.alpha_f, xc)
+            sampled.append(replace(plan, control=(free, math.exp(-req.t * sup))))
         else:
             sampled.append(plan)
     return folded, tuple(sampled)
@@ -452,24 +471,30 @@ def _cov(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum((a - np.mean(a)) * np.conj(b - np.mean(b)))) / ((n - 1) * n)
 
 
-def _product_mean_se(columns: np.ndarray) -> tuple[complex, float]:
-    """Product of the column means of an (n, k) array of independent
-    per-prime values, and its SE; one column gives its mean and sqrt(s^2/n).
+def _product_se(stats, n: int) -> tuple[complex, float]:
+    """Product of independent per-prime means, given as (m_p, e_p) pairs with
+    e_p their variance s_p^2/n (0 for an exact factor), and its SE; one pair
+    gives m_p and sqrt(e_p).
 
-    V = prod(a_p + e_p) - prod a_p with a_p = |m_p|^2 and e_p = s_p^2/n is
-    carried with A = prod a_p as V <- V (a_p + e_p) + A e_p, A <- A a_p, so
-    nothing cancels.  The product starts from the first mean, so signed
-    zeros survive.
+    V = prod(a_p + e_p) - prod a_p with a_p = |m_p|^2 is carried with
+    A = prod a_p as V <- V (a_p + e_p) + A e_p, A <- A a_p, so nothing
+    cancels.  The product starts from the first mean, so signed zeros
+    survive.
     """
-    mean, var = _mean_var(columns[:, 0])
+    (mean, var), *rest = stats
     sq = abs(mean) ** 2
-    for col in columns[:, 1:].T:
-        m, e = _mean_var(col)
+    for m, e in rest:
         a = abs(m) ** 2
         mean *= m
         var = var * (a + e) + sq * e
         sq *= a
-    return mean, math.sqrt(var) if len(columns) > 1 else math.inf
+    return mean, math.sqrt(var) if n > 1 else math.inf
+
+
+def _product_mean_se(columns: np.ndarray) -> tuple[complex, float]:
+    """Product of the column means of an (n, k) array of independent
+    per-prime values, and its SE; one column gives its mean and sqrt(s^2/n)."""
+    return _product_se([_mean_var(col) for col in columns.T], len(columns))
 
 
 def _difference_se(plain: np.ndarray, weighted: np.ndarray) -> float:
@@ -501,12 +526,33 @@ def _difference_se(plain: np.ndarray, weighted: np.ndarray) -> float:
     return math.sqrt(vd)
 
 
+def _controlled(data: np.ndarray, plans) -> np.ndarray:
+    """The chunk columns with the exact free factor as a control variate at
+    each event-path prime, rewritten in place: W - beta_p (P - F_p) for its
+    weighted column W = f_p e^{-A_p}, with P = f_p(X_t) on the same path, and
+    the constant F_p for P.
+
+    E P = F_p, so any fixed beta_p keeps the mean.  beta_p is at most every
+    value e^{-A_p} takes; for an indicator f_p with q = P(f_p = 1), and mu and
+    sigma^2 the mean and variance of e^{-A_p} where f_p = 1, the variance per
+    path is q sigma^2 + q (1 - q)(mu - beta_p)^2, never above the
+    q sigma^2 + q (1 - q) mu^2 of W alone.  Plans without a control
+    (endpoint primes, bridges) keep their columns.
+    """
+    for col, (plain, plan) in enumerate(zip(_plain_columns(plans), plans)):
+        if plan.control is not None:
+            free, beta = plan.control
+            data[:, col] -= beta * (data[:, plain] - free)
+            data[:, plain] = free
+    return data
+
+
 def _weighted_mean_se(req: FKRequest, plans) -> tuple[complex, float]:
-    """Product of the per-prime means of f_p e^{-A_p} and its SE; exactly 1,
-    SE 0, where nothing is sampled."""
+    """Product of the per-prime means of f_p e^{-A_p} (with the control at
+    event primes) and its SE; exactly 1, SE 0, where nothing is sampled."""
     if not plans:
         return 1 + 0j, 0.0
-    return _product_mean_se(_run_chunks(req, plans)[:, :len(plans)])
+    return _product_mean_se(_controlled(_run_chunks(req, plans), plans)[:, :len(plans)])
 
 
 def _estimate(req: FKRequest, factor: float, mean: complex, se: float,
@@ -526,7 +572,9 @@ def fk_expectation(req: FKRequest) -> FKEstimate:
     primes without a potential term one radius, its sphere point integrated
     out; primes with one event paths at the constancy scale, so the action
     integral is exact.  The estimate is the product of the per-prime means
-    of f_p e^{-A_p}, scaled by the folded factor.
+    of f_p e^{-A_p}, scaled by the folded factor; at an event-path prime
+    that mean is of f_p e^{-A_p} - beta_p (f_p(X_t) - F_p), the exact free
+    factor F_p serving as a control variate (see _controlled).
     """
     folded, plans = _compile_exact(req)
     return _estimate(req, folded, *_weighted_mean_se(req, plans))
@@ -536,21 +584,25 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     """(damped estimate, free estimate, se of the damping correction).
 
     Each estimate is the product of per-prime means: f_p e^{-A_p} for the
-    damped one, f_p for the free one.  Both share paths, so their difference
-    estimates E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance;
-    its SE is the plug-in variance of prod P_bar_p - prod W_bar_p with the
-    primes independent.  The folded primes' exact factor scales the means
-    and SEs of the sampled ones, which keep their streams.
+    damped one (with fk_expectation's control at event-path primes), f_p for
+    the free one, whose factor at an event-path prime is the exact F_p, with
+    no error.  Both share paths, so their difference estimates
+    E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance; its SE is
+    the plug-in variance of prod P_bar_p - prod W_bar_p with the primes
+    independent.  The folded primes' exact factor scales the means and SEs
+    of the sampled ones, which keep their streams.
     """
     folded, plans = _compile_exact(req)
     if not plans:
         exact = _estimate(req, folded, 1 + 0j, 0.0)
         return exact, exact, 0.0
-    data = _run_chunks(req, plans)
+    data = _controlled(_run_chunks(req, plans), plans)
     weighted, plain = data[:, :len(plans)], data[:, _plain_columns(plans)]
+    free = [(plan.control[0], 0.0) if plan.control is not None else _mean_var(col)
+            for plan, col in zip(plans, plain.T)]
     return (
         _estimate(req, folded, *_product_mean_se(weighted)),
-        _estimate(req, folded, *_product_mean_se(plain)),
+        _estimate(req, folded, *_product_se(free, req.n_paths)),
         _difference_se(plain, weighted) * abs(folded),
     )
 
@@ -666,9 +718,11 @@ def generator_check(sigma: SigmaSequence, b: float, alpha: SimpleAdelicSB,
     """Finite differences (pi_t alpha - alpha)/t against -(D_A + V) alpha.
 
     The free part is analytic; the potential damping correction is Monte
-    Carlo with paths shared between the damped and free estimators.  All
-    quantities are truncated at N primes consistently, so the observed
-    convergence order is 1 for the truncated system.
+    Carlo with paths shared between the damped and free estimators of
+    fk_expectation_pair, whose free factors at event-path primes are exact,
+    so only the damping carries noise there.  All quantities are truncated
+    at N primes consistently, so the observed convergence order is 1 for
+    the truncated system.
     """
     op_truncated = truncated_vladimirov_apply(sigma, b, alpha, x, N)[0].real
     target = -op_truncated - v.value(x) * alpha.eval(x).real

@@ -457,6 +457,27 @@ def check_fk_positivity(fast: bool) -> CheckResult:
                    f"estimate {est.value.real:.5f}", ">= -3 SE")
 
 
+def check_fk_event_end_law(fast: bool) -> CheckResult:
+    # estimates take the exact free factor as a control variate at event-path
+    # primes, which absorbs most of a fault in the end law, so the raw f_p(X_t)
+    # column is checked against that factor on its own
+    from .feynman_kac import _compile_exact, _mean_var, _run_chunks
+
+    sigma = SigmaSequence.inverse_square()
+    one, four = PAdicScalar.from_int(1, 3), PAdicScalar.from_int(4, 3)
+    pot = SimplePotential.of({3: (1.0, SBFunction(3, ((Ball(one, -1), 1.0 + 0j),
+                                                      (Ball(one, 0), 0.25 + 0j))))})
+    alpha = SimpleAdelicSB.of({3: SBFunction(3, ((Ball(four, -1), 0.5 - 0.25j),
+                                                 (Ball(PAdicScalar.zero(3), 0), 1.0 + 0.5j)))})
+    req = FKRequest(sigma, 1.0, 2.0, AdelicPoint.resolved_zeros(2), alpha, pot,
+                    8000 if fast else 32_000, 2, seed=BASE_SEED + 100)
+    _, plans = _compile_exact(req)
+    mean, var = _mean_var(_run_chunks(req, plans)[:, 1])
+    free, se = plans[0].control[0], math.sqrt(var)
+    return _result("feynman_kac", "event_end_law", abs(mean - free) <= 4 * se,
+                   f"mean f(X_t) {mean:.5f} vs exact {free:.5f} (se {se:.5f})", "within 4 SE")
+
+
 def check_fk_worker_invariance(fast: bool) -> CheckResult:
     sigma = SigmaSequence.inverse_square()
     # a non-vacuum factor keeps prime 2 sampled; vacuum, potential-free primes fold
@@ -495,6 +516,7 @@ ALL_CHECKS = (
     check_fk_free_reduction,
     check_fk_kernel_consistency,
     check_fk_positivity,
+    check_fk_event_end_law,
     check_fk_worker_invariance,
 )
 

@@ -188,6 +188,19 @@ class TestFkManifest:
         assert config["potential"] == json.loads(pot.read_text())
         assert self.rerun(runner, out, tmp_path) == out.read_bytes()
 
+    def test_default_truncation_covers_the_potential(self, runner, tmp_path):
+        # 11 is the fifth prime: the default truncation is max(4, 5)
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps({"components": [{"prime": 11, "tau": 0.7, "terms": [
+            {"zero": True, "radius_exp": 0, "coeff": 1.0}]}]}))
+        out = tmp_path / "fk.csv"
+        res = runner.invoke(main, ["fk", "--n-paths", "500", "--seed", "5",
+                                   "--potential", str(pot), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["derived"]["truncation"] == 5
+        assert self.rerun(runner, out, tmp_path) == out.read_bytes()
+
     def test_kernel_with_endpoint(self, runner, tmp_path):
         pot = tmp_path / "pot.json"
         pot.write_text(json.dumps({"components": [{

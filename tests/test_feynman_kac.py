@@ -152,8 +152,11 @@ class TestFkExpectation:
     def test_pair_shares_paths(self):
         req = FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, VPOT, 4000, 2, seed=707)
         damped, plain, corr_se = fk_expectation_pair(req)
+        # the only sampled prime runs event paths: its free factor is exact, so
+        # the correction's SE is the damped estimate's
+        assert plain.std_error == 0.0
+        assert corr_se == pytest.approx(damped.std_error)
         assert damped.value.real <= plain.value.real
-        assert corr_se < damped.std_error + plain.std_error
 
     def test_worker_invariance(self, run_chunks_calls):
         x = AdelicPoint.resolved_zeros(1)
@@ -345,9 +348,11 @@ class TestFkExpectation:
                 call()
 
 
-# Values pinned from the PAdicScalar event-path engine (sample_event_path,
-# _path_action and eval_sb per path) at fixed seeds; the window-integer engine
-# must reproduce them to the last digit.
+# Draws pinned from the PAdicScalar event-path engine (sample_event_path,
+# _path_action and eval_sb per path) at fixed seeds: the window-integer engine
+# must reproduce its raw columns, and the estimate without the control, to the
+# last digit.  The estimates are pinned with the exact free factor as a control
+# variate at every event-path prime.
 X2 = PAdicScalar.from_rational(Fraction(5, 4), 2)
 PINNED_POT = SimplePotential.of({
     3: (1.0, SBFunction(3, ((Ball(PAdicScalar.from_int(1, 3), -1), 1.0 + 0j),
@@ -366,43 +371,56 @@ PINNED_X = AdelicPoint.of({2: X2, 3: PAdicScalar.zero(3), 5: PAdicScalar.zero(5)
 
 class TestPinnedEventValues:
     def test_expectation_and_pair_at_every_worker_count(self):
+        from adelic_diffusion.feynman_kac import (
+            _compile_exact,
+            _estimate,
+            _product_mean_se,
+            _run_chunks,
+        )
+
         req = FKRequest(SIG, B, 1.5, PINNED_X, PINNED_ALPHA, PINNED_POT, 3000, 4, seed=1801,
                         chunk_size=1000)
-        assert repr(fk_expectation(req)) == (
+        folded, plans = _compile_exact(req)
+        raw = _run_chunks(req, plans)[:, :len(plans)]
+        assert repr(_estimate(req, folded, *_product_mean_se(raw))) == (
             'FKEstimate(value=(0.3307950767501668+0.15657301365094206j), '
             'std_error=0.006973883758268751, n_paths=3000, tail_certificate=0.9573632836247958, '
             'density_factor=None, bridge_factor=None)')
+        assert repr(fk_expectation(req)) == (
+            'FKEstimate(value=(0.32763008831760865+0.1548687270312432j), '
+            'std_error=0.00504110504615636, n_paths=3000, tail_certificate=0.9573632836247958, '
+            'density_factor=None, bridge_factor=None)')
         for w in (1, 2, 4):
             assert repr(fk_expectation_pair(replace(req, workers=w))) == (
-                '(FKEstimate(value=(0.3307950767501668+0.15657301365094206j), '
-                'std_error=0.006973883758268751, n_paths=3000, '
+                '(FKEstimate(value=(0.32763008831760865+0.1548687270312432j), '
+                'std_error=0.00504110504615636, n_paths=3000, '
                 'tail_certificate=0.9573632836247958, density_factor=None, bridge_factor=None), '
-                'FKEstimate(value=(0.9140120083173295+0.41396479409824255j), '
-                'std_error=0.01816538649359919, n_paths=3000, tail_certificate=0.9573632836247958, '
-                'density_factor=None, bridge_factor=None), 0.011997913291194632)')
+                'FKEstimate(value=(0.8985132552532847+0.40457709111687223j), '
+                'std_error=0.009323835788269277, n_paths=3000, tail_certificate=0.9573632836247958, '
+                'density_factor=None, bridge_factor=None), 0.0069581674819736115)')
 
     def test_generator_check(self):
         rep = generator_check(SIG, B, OM, VPOT, AdelicPoint.resolved_zeros(1), [1e-1, 1e-2],
                               n_paths=3000, N=3, seed=1802)
         assert repr(rep) == (
-            'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9370870287998734, '
-            '-0.9786973023757528), target=-0.9833333333333333, errors=(0.0462463045334599, '
-            '0.004636030957580473), orders=(0.9989307073519981,), mc_ses=(0.001483197600243739, '
-            '0.000464262569155768))')
+            'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9360917220616027, '
+            '-0.9784662981154879), target=-0.9833333333333333, errors=(0.047241611271730544, '
+            '0.004867035217845372), orders=(0.987060212887409,), mc_ses=(0.0, '
+            '1.5819960291784258e-18))')
         rep = generator_check(SIG, B, PINNED_ALPHA, PINNED_POT, PINNED_X, [0.5, 0.25],
                               n_paths=1500, N=4, seed=1803)
         assert repr(rep) == (
-            'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.8880602200620689, '
-            '-2.2283263563274813), target=-2.619047619047619, errors=(0.7309873989855502, '
-            '0.39072126272013774), orders=(0.9037067688143958,), mc_ses=(0.01661916556639237, '
-            '0.01503156835887721))')
+            'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.9014636996376337, '
+            '-2.239806700392087), target=-2.619047619047619, errors=(0.7175839194099853, '
+            '0.3792409186555319), orders=(0.9200329268067919,), mc_ses=(0.01103459409198561, '
+            '0.010121032738812681))')
 
     def test_semigroup_check_mc(self):
         rep = semigroup_check_mc(SIG, B, 0.5, 0.5, PINNED_ALPHA, PINNED_POT, PINNED_X, 4,
                                  n=400, seed=1804)
         assert repr(rep) == (
-            'SemigroupReport(s=0.5, t=0.5, direct=0.5687307113814534, '
-            'composed=0.6840621064479072, combined_se=0.07522765919454613)')
+            'SemigroupReport(s=0.5, t=0.5, direct=0.5779642576105634, '
+            'composed=0.6864883880407857, combined_se=0.07283508422533509)')
 
 
 # Kernel and folded values pinned from the two-pipeline estimators (a bridge
@@ -529,6 +547,104 @@ class TestProductReduction:
             corrections.append(plain.value.real - damped.value.real)
             ses.append(corr_se)
         assert 0.8 <= np.std(corrections, ddof=1) / np.mean(ses) <= 1.2
+
+
+class TestEventControl:
+    """The exact free factor as a control variate at event-path primes."""
+
+    # a two-term potential at 3 (1 on B_-1(1) inside 0.25 on B_0(1)) and a
+    # complex observable there, from x_3 = 0; prime 2 folds
+    POT3 = SimplePotential.of({3: PINNED_POT.component(3)})
+    ALPHA3 = SimpleAdelicSB.of({3: PINNED_ALPHA.factor(3)})
+    X = AdelicPoint.resolved_zeros(2)
+
+    @staticmethod
+    def raw(req):
+        """(folded factor, plans, raw chunk columns) of an exact-mode request."""
+        from adelic_diffusion.feynman_kac import _compile_exact, _run_chunks
+
+        folded, plans = _compile_exact(req)
+        return folded, plans, _run_chunks(req, plans)
+
+    def end_law_z(self, t, n, seed):
+        """(P_bar - F_p)/SE at 3 for the real and the imaginary part, from the raw columns."""
+        _, (plan,), data = self.raw(FKRequest(SIG, B, t, self.X, self.ALPHA3, self.POT3, n, 2,
+                                              seed=seed))
+        free, plain = plan.control[0], data[:, 1]
+        return tuple((np.mean(part(plain)) - part(free))
+                     / math.sqrt(np.var(part(plain), ddof=1) / n) for part in (np.real, np.imag))
+
+    def test_end_law_calibrated_against_free_factor(self):
+        z = np.array([self.end_law_z(2.0, 400, 24_100 + k) for k in range(200)])
+        for part in z.T:
+            assert 0.85 <= np.std(part, ddof=1) <= 1.15
+            assert abs(np.mean(part)) <= 0.25
+
+    def test_end_law_catches_alpha_bug(self, monkeypatch):
+        import adelic_diffusion.heat_kernel as hk
+
+        from adelic_diffusion.feynman_kac import _mean_var
+
+        req = FKRequest(SIG, B, 2.0, self.X, self.ALPHA3, self.POT3, 64_000, 2, seed=24_001)
+        alpha = hk.alpha
+        monkeypatch.setattr(hk, "alpha", lambda params: 1.15 * alpha(params))
+        _, (plan,), data = self.raw(req)
+        mean, var = _mean_var(data[:, 1])
+        assert abs(mean - plan.control[0]) > 6 * math.sqrt(var)
+
+    def test_control_algebra_on_raw_columns(self):
+        from adelic_diffusion.feynman_kac import _controlled, _plain_columns
+
+        req = FKRequest(SIG, B, 1.5, PINNED_X, PINNED_ALPHA, PINNED_POT, 3000, 4, seed=1801,
+                        chunk_size=1000)
+        _, plans, raw = self.raw(req)
+        data = _controlled(raw.copy(), plans)
+        assert [plan.control is not None for plan in plans] == [True, True, False]
+        for col, (plain, plan) in enumerate(zip(_plain_columns(plans), plans)):
+            if plan.control is None:  # the endpoint prime keeps its column
+                assert (data[:, col] == raw[:, col]).all()
+                continue
+            free, beta = plan.control
+            tau, f = plan.v_term
+            assert beta == math.exp(-req.t * sum(max(tau * c.real, 0.0) for _, c in f.terms))
+            assert (data[:, plain] == free).all()
+            want = np.mean(raw[:, col]) - beta * (np.mean(raw[:, plain]) - free)
+            assert np.mean(data[:, col]) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("tau", [0.5, 5.0])
+    def test_control_se_not_above_raw_for_an_indicator(self, tau):
+        from adelic_diffusion.feynman_kac import _controlled, _mean_var
+
+        # tau t sup v = tau: beta_p = e^{-tau} is the smallest e^{-A_p}
+        pot = SimplePotential.of({2: (tau, SBFunction.indicator(Ball(PAdicScalar.zero(2), -1)))})
+        alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), 0))})
+        req = FKRequest(SIG, B, 1.0, AdelicPoint.resolved_zeros(1), alpha_f, pot, 4000, 1,
+                        seed=24_200)
+        _, plans, raw = self.raw(req)
+        assert plans[0].control[1] == math.exp(-tau)
+        controlled = _controlled(raw.copy(), plans)
+        assert 0 < _mean_var(controlled[:, 0])[1] <= _mean_var(raw[:, 0])[1]
+
+    def test_calibrated_against_raw_on_disjoint_seeds(self):
+        from adelic_diffusion.feynman_kac import _product_mean_se
+
+        # real factors, so the SEs are those of the real parts; 5 is an endpoint prime
+        alpha_f = SimpleAdelicSB.of({
+            3: SBFunction(3, ((Ball(PAdicScalar.from_int(4, 3), -1), 0.5 + 0j),
+                              (Ball(PAdicScalar.zero(3), 0), 1.0 + 0j))),
+            5: SBFunction.indicator(Ball(PAdicScalar.zero(5), -1)),
+        })
+        x = AdelicPoint.resolved_zeros(3)
+        z = []
+        for k in range(200):
+            req = FKRequest(SIG, B, 1.0, x, alpha_f, self.POT3, 400, 3, seed=24_300 + k)
+            new = fk_expectation(req)
+            folded, plans, raw = self.raw(replace(req, seed=24_600 + k))
+            raw_mean, raw_se = _product_mean_se(raw[:, :len(plans)])
+            z.append((new.value.real - folded * raw_mean.real)
+                     / math.hypot(new.std_error, folded * raw_se))
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+        assert abs(np.mean(z)) <= 0.25
 
 
 class TestKernels:
