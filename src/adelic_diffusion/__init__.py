@@ -34,14 +34,12 @@ from .feynman_kac import (
     GeneratorReport,
     SemigroupReport,
     action_integral,
-    adelic_ball_probability,
     fk_expectation,
     fk_expectation_pair,
     fk_kernel,
     free_propagate,
     generator_check,
     semigroup_check_mc,
-    semigroup_compose_free,
 )
 from .heat_kernel import (
     KernelParams,

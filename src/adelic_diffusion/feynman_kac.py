@@ -13,10 +13,12 @@ independent per-prime means, with the plug-in SE of that product:
   primes with one event paths, so the action integral is exact (no time
   discretization anywhere).  `event_path_sums` holds each position as one
   window integer, draw for draw and bit for bit what `sample_event_path`,
-  `_path_action` and `eval_sb` give.  At an event-path prime the exact free
-  factor F_p = E f_p(X_t) is a control variate: once every chunk is drawn,
-  `_controlled` rewrites its damped column to W - beta_p (f_p(X_t) - F_p),
-  so the draws stay the oracle's and only the damping carries noise;
+  `_path_action` and `eval_sb` give.  At an event-path prime the end value
+  P = f_p(X_t) and the action A_p are control variates, with exact means
+  F_p and a_p from the chain the paths are drawn from, lumped on a ball tree
+  (`lumped.event_means`): once every chunk is drawn, `_controlled` rewrites
+  the damped column to the first-order expansion of e^{-A_p} about a_p,
+  W - g_p (P - F_p) + g_p F_p (A_p - a_p) with g_p = e^{-a_p};
 * kernel mode: the analytic endpoint density is the factor, and each prime
   with a potential draws bridges.  `sample_bridges` fills every path of a
   batch together in a p-adic integer window, and the action is a
@@ -50,11 +52,9 @@ from .heat_kernel import (
     ball_kernel_mass,
     density,
     density_center,
-    radial_convolve,
-    radial_law,
     sphere_ball_share,
 )
-from .padic import Ball, PAdicScalar
+from .padic import PAdicScalar
 from .padic import uniform_sphere  # noqa: F401  unused here; perfbench/layers.py patches this name
 from .primes import prime_at, prime_index
 from .rng import RngStream
@@ -184,10 +184,6 @@ class FreePropagation:
     tail_lo_mult: float
     truncation: int
 
-    def interval(self) -> tuple[float, float]:
-        r = self.value.real
-        return min(r * self.tail_lo_mult, r), max(r * self.tail_lo_mult, r)
-
 
 def _factor_convolution(params: KernelParams, t: float, f: SBFunction,
                         xc: PAdicScalar | None) -> complex:
@@ -225,19 +221,6 @@ def free_propagate(sigma: SigmaSequence, b: float, t: float,
     return FreePropagation(value, math.exp(-t * sigma.sigma_tail_upper(N)), N)
 
 
-def adelic_ball_probability(sigma: SigmaSequence, b: float, t: float,
-                            balls: dict[int, Ball], N: int) -> tuple[float, float]:
-    """P(X_t component-wise in the given balls, Z_p implicitly elsewhere).
-
-    The free propagation from 0 of the product of the ball indicators:
-    exact ball masses for primes 1..N, and the inactive tail contributes
-    the bracket [e^{-t sum_{i>N} sigma_i}, 1].
-    """
-    alpha = SimpleAdelicSB.of({p: SBFunction.indicator(ball) for p, ball in balls.items()})
-    x = AdelicPoint.resolved_zeros(N)
-    return free_propagate(sigma, b, t, alpha, x, N).interval()
-
-
 # -- one Monte Carlo pipeline: compile, draw chunks, reduce, scale -------------
 
 
@@ -251,7 +234,7 @@ class _PrimePlan:
     r_min: int
     law: RadialLaw | None  # increment law at t; None where nothing is sampled from it
     spec: BridgeSpec | None = None  # kernel mode: the bridge drawn at this prime
-    control: tuple[complex, float] | None = None  # event paths: (F_p, beta_p), see _controlled
+    control: tuple[complex, float] | None = None  # event paths: (F_p, a_p), see _controlled
 
     @property
     def folds(self) -> bool:  # no potential, vacuum factor: an exact mean
@@ -299,20 +282,24 @@ def _compile_exact(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
     """(exact factor of the folded primes, plans of the sampled ones).
 
     Vacuum factors convolve to reals, so the folded factor is real.  Each
-    event plan carries its control: the exact free factor F_p = E f_p(X_t)
-    and beta_p = e^{-t s_p}, where s_p = sum_j max(tau Re c_j, 0) bounds
-    tau Re v_p from above, so beta_p <= e^{-A_p} on every path.
+    event plan carries the exact means of its controls, from the lumped
+    chain of its event paths: F_p = E f_p(X_t) and a_p = E A_p, with
+    A_p = tau int_0^t Re v_p(X_s) ds.
     """
     folded, sampled = 1.0, []
     for plan in _compile_plans(req):
-        xc = req.x.component(plan.params.p)
         if plan.folds:
+            xc = req.x.component(plan.params.p)
             folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
         elif plan.events:
+            # imported here: only a potential needs it, and each fk command pays
+            # for every import in a fresh process
+            from .lumped import event_means
+
             tau, f = plan.v_term
-            sup = sum(max(tau * coeff.real, 0.0) for _, coeff in f.terms)
-            free = _factor_convolution(plan.params, req.t, plan.alpha_f, xc)
-            sampled.append(replace(plan, control=(free, math.exp(-req.t * sup))))
+            free, occupation = event_means(plan.params, req.t, plan.start, plan.r_min,
+                                           plan.alpha_f.terms, f.terms)
+            sampled.append(replace(plan, control=(free, tau * occupation)))
         else:
             sampled.append(plan)
     return folded, tuple(sampled)
@@ -384,22 +371,23 @@ def _bridge_action(paths: BridgeWindow, tau: float, f: SBFunction) -> np.ndarray
 
 def _plain_columns(plans) -> list[int]:
     """The chunk column holding f_p for each exact-mode plan: its own at an
-    endpoint prime (A_p = 0), else one of the columns after the weighted ones."""
+    endpoint prime (A_p = 0), else one of the columns after the weighted ones;
+    an event plan's A_p lies as many columns further on as there are event plans."""
     extra = iter(range(len(plans), 2 * len(plans)))
     return [next(extra) if plan.events else col for col, plan in enumerate(plans)]
 
 
 def _chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
-    """Per-prime columns, shape (count, k + e): f_p e^{-A_p} for each of the k
-    plans (f_p = 1 on bridges, A_p = 0 at endpoint primes), then f_p for each
-    of the e plans that run event paths.
+    """Per-prime columns, shape (count, k + 2e): f_p e^{-A_p} for each of the k
+    plans (f_p = 1 on bridges, A_p = 0 at endpoint primes), then f_p and then
+    A_p for each of the e plans that run event paths.
 
     Event paths give the values of sample_event_path, _path_action and
     eval_sb, bit for bit.
     """
     stream = RngStream(req.seed)
-    plain = _plain_columns(plans)
-    out = np.empty((count, len(plans) + sum(plan.events for plan in plans)), dtype=complex)
+    plain, n_events = _plain_columns(plans), sum(plan.events for plan in plans)
+    out = np.empty((count, len(plans) + 2 * n_events), dtype=complex)
     for col, plan in enumerate(plans):
         # a leading 0 keys bridge streams apart from exact-mode ones; seeded kernel files rely on it
         key = (chunk_idx, plan.slot) if plan.spec is None else (0, chunk_idx, plan.slot)
@@ -417,8 +405,10 @@ def _chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
             tau, f = plan.v_term
             integrals, values = event_path_sums(plan.params, plan.start, req.t, plan.r_min, gen,
                                                 count, f.terms, plan.alpha_f.terms)
-            out[:, col] = values * np.exp(-(tau * integrals))
+            action = tau * integrals
+            out[:, col] = values * np.exp(-action)
             out[:, plain[col]] = values
+            out[:, plain[col] + n_events] = action
     return out
 
 
@@ -527,23 +517,23 @@ def _difference_se(plain: np.ndarray, weighted: np.ndarray) -> float:
 
 
 def _controlled(data: np.ndarray, plans) -> np.ndarray:
-    """The chunk columns with the exact free factor as a control variate at
-    each event-path prime, rewritten in place: W - beta_p (P - F_p) for its
-    weighted column W = f_p e^{-A_p}, with P = f_p(X_t) on the same path, and
-    the constant F_p for P.
+    """The chunk columns with two control variates at each event-path prime,
+    rewritten in place: W - g_p (P - F_p) + g_p F_p (A_p - a_p) for its
+    weighted column W = P e^{-A_p}, with P = f_p(X_t) and A_p on the same
+    path, and the constant F_p for P.
 
-    E P = F_p, so any fixed beta_p keeps the mean.  beta_p is at most every
-    value e^{-A_p} takes; for an indicator f_p with q = P(f_p = 1), and mu and
-    sigma^2 the mean and variance of e^{-A_p} where f_p = 1, the variance per
-    path is q sigma^2 + q (1 - q)(mu - beta_p)^2, never above the
-    q sigma^2 + q (1 - q) mu^2 of W alone.  Plans without a control
-    (endpoint primes, bridges) keep their columns.
+    E P = F_p and E A_p = a_p, so the fixed coefficients keep the mean
+    exactly; they are those of e^{-A_p} expanded to first order about a_p,
+    g_p = e^{-a_p}, with P(A_p - a_p) replaced by F_p (A_p - a_p).  Plans
+    without a control (endpoint primes, bridges) keep their columns.
     """
-    for col, (plain, plan) in enumerate(zip(_plain_columns(plans), plans)):
+    plain, n_events = _plain_columns(plans), sum(plan.events for plan in plans)
+    for col, plan in enumerate(plans):
         if plan.control is not None:
-            free, beta = plan.control
-            data[:, col] -= beta * (data[:, plain] - free)
-            data[:, plain] = free
+            free, action = plan.control
+            g, end = math.exp(-action), plain[col]
+            data[:, col] -= g * ((data[:, end] - free) - free * (data[:, end + n_events] - action))
+            data[:, end] = free
     return data
 
 
@@ -573,8 +563,8 @@ def fk_expectation(req: FKRequest) -> FKEstimate:
     out; primes with one event paths at the constancy scale, so the action
     integral is exact.  The estimate is the product of the per-prime means
     of f_p e^{-A_p}, scaled by the folded factor; at an event-path prime
-    that mean is of f_p e^{-A_p} - beta_p (f_p(X_t) - F_p), the exact free
-    factor F_p serving as a control variate (see _controlled).
+    f_p(X_t) and A_p serve as control variates with exact means (see
+    _controlled).
     """
     folded, plans = _compile_exact(req)
     return _estimate(req, folded, *_weighted_mean_se(req, plans))
@@ -641,27 +631,6 @@ class SemigroupReport:
         return self.discrepancy <= k * self.combined_se or math.isclose(
             self.direct, self.composed, abs_tol=1e-10
         )
-
-
-def semigroup_compose_free(sigma: SigmaSequence, b: float, s: float, t: float,
-                           alpha: SimpleAdelicSB, x: AdelicPoint, N: int) -> SemigroupReport:
-    """Analytic composition check: kernel_{s+t} * alpha vs the two-step
-    radial convolution, both exact; discrepancy should sit at rounding."""
-    direct = free_propagate(sigma, b, s + t, alpha, x, N).value.real
-    composed = 1.0
-    for i in range(1, N + 1):
-        p = prime_at(i)
-        params = sigma.kernel_params(i, b)
-        law = radial_convolve(radial_law(params, s, coverage=1 - 1e-13),
-                              radial_law(params, t, coverage=1 - 1e-13))
-        f = alpha.factor(p)
-        xc = x.component(p)
-        factor = 0.0
-        for ball, coeff in f.terms:
-            d_exp = None if xc is None else (xc - ball.center).abs_exp()
-            factor += coeff.real * law.ball_probability(d_exp, ball.radius_exp)
-        composed *= factor
-    return SemigroupReport(s, t, direct, composed, 0.0)
 
 
 def semigroup_check_mc(sigma: SigmaSequence, b: float, s: float, t: float,

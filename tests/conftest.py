@@ -130,3 +130,60 @@ def fine_skeleton_exit_landings(params, T, steps, n, seed):
         landing[idx[exited]] = new[exited]
         alive[idx[exited]] = False
     return landing[landing >= 1]
+
+
+def free_interval(fp):
+    """The bracket [value * tail_lo_mult, value] of a FreePropagation's real part."""
+    r = fp.value.real
+    return min(r * fp.tail_lo_mult, r), max(r * fp.tail_lo_mult, r)
+
+
+def adelic_ball_probability(sigma, b, t, balls, N):
+    """P(X_t component-wise in the given balls, Z_p implicitly elsewhere).
+
+    The free propagation from 0 of the product of the ball indicators:
+    exact ball masses for primes 1..N, and the inactive tail contributes
+    the bracket [e^{-t sum_{i>N} sigma_i}, 1].
+    """
+    from adelic_diffusion import AdelicPoint, SBFunction, SimpleAdelicSB, free_propagate
+
+    alpha = SimpleAdelicSB.of({p: SBFunction.indicator(ball) for p, ball in balls.items()})
+    x = AdelicPoint.resolved_zeros(N)
+    return free_interval(free_propagate(sigma, b, t, alpha, x, N))
+
+
+def semigroup_compose_free(sigma, b, s, t, alpha, x, N):
+    """Analytic composition check: kernel_{s+t} * alpha vs the two-step
+    radial convolution, both exact; discrepancy should sit at rounding."""
+    from adelic_diffusion import SemigroupReport, free_propagate, radial_convolve, radial_law
+    from adelic_diffusion.primes import prime_at
+
+    direct = free_propagate(sigma, b, s + t, alpha, x, N).value.real
+    composed = 1.0
+    for i in range(1, N + 1):
+        p = prime_at(i)
+        params = sigma.kernel_params(i, b)
+        law = radial_convolve(radial_law(params, s, coverage=1 - 1e-13),
+                              radial_law(params, t, coverage=1 - 1e-13))
+        xc = x.component(p)
+        factor = 0.0
+        for ball, coeff in alpha.factor(p).terms:
+            d_exp = None if xc is None else (xc - ball.center).abs_exp()
+            factor += coeff.real * law.ball_probability(d_exp, ball.radius_exp)
+        composed *= factor
+    return SemigroupReport(s, t, direct, composed, 0.0)
+
+
+def occupation_series(params, t, start, terms):
+    """int_0^t sum_j Re c_j P(X_s in B_j) ds from start, over (ball, coeff)
+    terms, by quadrature of the heat-kernel series for each ball's mass."""
+    from scipy.integrate import quad
+
+    from adelic_diffusion import ball_kernel_mass
+
+    total = 0.0
+    for ball, coeff in terms:
+        e = (start - ball.center).abs_exp()
+        total += coeff.real * quad(lambda s: ball_kernel_mass(params, s, e, ball.radius_exp),
+                                   0.0, t, epsabs=1e-14, epsrel=1e-13)[0]
+    return total

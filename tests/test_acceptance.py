@@ -27,7 +27,6 @@ from adelic_diffusion import (
     SigmaSequence,
     SimpleAdelicSB,
     SimplePotential,
-    adelic_ball_probability,
     ball_mass,
     density,
     density_center,
@@ -48,7 +47,12 @@ from adelic_diffusion import (
     vacuum_multiplier_norm_sq,
 )
 from adelic_diffusion.cli import main as cli_main
-from conftest import fine_skeleton_exit_landings, norm_sq_quadrature, trapezoid_action
+from conftest import (
+    adelic_ball_probability,
+    fine_skeleton_exit_landings,
+    norm_sq_quadrature,
+    trapezoid_action,
+)
 
 KP = KernelParams(2, 1.0, 1.0)
 ZERO2 = PAdicScalar.zero(2)

@@ -13,7 +13,6 @@ from adelic_diffusion import (
     RngStream,
     SigmaSequence,
     SummabilityError,
-    adelic_ball_probability,
     ball_mass,
     choose_truncation,
     exit_count_factorial_bound,
@@ -25,6 +24,8 @@ from adelic_diffusion import (
     sample_event_path,
     tail_certificate,
 )
+
+from conftest import adelic_ball_probability
 
 SIG = SigmaSequence.inverse_square()
 B = 1.0

@@ -487,3 +487,20 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=120)
         assert out.stdout.strip() == "[]"
+
+    def test_fk_with_potential_loads_no_scipy(self, tmp_path):
+        # the lumped chain behind the event-path controls uses numpy alone
+        pot, x = tmp_path / "pot.json", tmp_path / "x.json"
+        pot.write_text(json.dumps({"components": [{"prime": 3, "tau": 1.0, "terms": [
+            {"valuation": 0, "digits": [1], "radius_exp": -1, "coeff": 1.0},
+            {"valuation": 0, "digits": [1], "radius_exp": 0, "coeff": 0.25}]}]}))
+        x.write_text(json.dumps({"components": [{"prime": 3, "zero": True}]}))
+        args = ["fk", "--n-paths", "500", "--seed", "12", "--potential", str(pot),
+                "--point", str(x), "-o", str(tmp_path / "t.csv")]
+        code = ("import sys; from adelic_diffusion.cli import main; "
+                f"main({args!r}, standalone_mode=False); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert (tmp_path / "t.csv").exists()
+        assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -34,9 +35,10 @@ from adelic_diffusion import (
     generator_check,
     sample_event_path,
     semigroup_check_mc,
-    semigroup_compose_free,
 )
 from adelic_diffusion.primes import prime_at
+
+from conftest import occupation_series, semigroup_compose_free
 
 SIG = SigmaSequence.inverse_square()
 KP2 = KernelParams(2, 1.0, SIG.sigma(1))
@@ -351,8 +353,8 @@ class TestFkExpectation:
 # Draws pinned from the PAdicScalar event-path engine (sample_event_path,
 # _path_action and eval_sb per path) at fixed seeds: the window-integer engine
 # must reproduce its raw columns, and the estimate without the control, to the
-# last digit.  The estimates are pinned with the exact free factor as a control
-# variate at every event-path prime.
+# last digit.  The estimates are pinned with f_p(X_t) and the action as control
+# variates at every event-path prime, their means from the lumped chain.
 X2 = PAdicScalar.from_rational(Fraction(5, 4), 2)
 PINNED_POT = SimplePotential.of({
     3: (1.0, SBFunction(3, ((Ball(PAdicScalar.from_int(1, 3), -1), 1.0 + 0j),
@@ -387,40 +389,40 @@ class TestPinnedEventValues:
             'std_error=0.006973883758268751, n_paths=3000, tail_certificate=0.9573632836247958, '
             'density_factor=None, bridge_factor=None)')
         assert repr(fk_expectation(req)) == (
-            'FKEstimate(value=(0.32763008831760865+0.1548687270312432j), '
-            'std_error=0.00504110504615636, n_paths=3000, tail_certificate=0.9573632836247958, '
+            'FKEstimate(value=(0.3217965315994807+0.1514869672000669j), '
+            'std_error=0.0037171042500750424, n_paths=3000, tail_certificate=0.9573632836247958, '
             'density_factor=None, bridge_factor=None)')
         for w in (1, 2, 4):
             assert repr(fk_expectation_pair(replace(req, workers=w))) == (
-                '(FKEstimate(value=(0.32763008831760865+0.1548687270312432j), '
-                'std_error=0.00504110504615636, n_paths=3000, '
+                '(FKEstimate(value=(0.3217965315994807+0.1514869672000669j), '
+                'std_error=0.0037171042500750424, n_paths=3000, '
                 'tail_certificate=0.9573632836247958, density_factor=None, bridge_factor=None), '
-                'FKEstimate(value=(0.8985132552532847+0.40457709111687223j), '
-                'std_error=0.009323835788269277, n_paths=3000, tail_certificate=0.9573632836247958, '
-                'density_factor=None, bridge_factor=None), 0.0069581674819736115)')
+                'FKEstimate(value=(0.8985132552532852+0.4045770911168724j), '
+                'std_error=0.009323835788269282, n_paths=3000, tail_certificate=0.9573632836247958, '
+                'density_factor=None, bridge_factor=None), 0.006164717890870951)')
 
     def test_generator_check(self):
         rep = generator_check(SIG, B, OM, VPOT, AdelicPoint.resolved_zeros(1), [1e-1, 1e-2],
                               n_paths=3000, N=3, seed=1802)
         assert repr(rep) == (
-            'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9360917220616027, '
-            '-0.9784662981154879), target=-0.9833333333333333, errors=(0.047241611271730544, '
-            '0.004867035217845372), orders=(0.987060212887409,), mc_ses=(0.0, '
-            '1.5819960291784258e-18))')
+            'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9352466225791056, '
+            '-0.978455184054472), target=-0.9833333333333333, errors=(0.04808671075422766, '
+            '0.004878149278861321), orders=(0.993769985051446,), mc_ses=(0.0007614263512780381, '
+            '0.00031444074839623564))')
         rep = generator_check(SIG, B, PINNED_ALPHA, PINNED_POT, PINNED_X, [0.5, 0.25],
                               n_paths=1500, N=4, seed=1803)
         assert repr(rep) == (
-            'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.9014636996376337, '
-            '-2.239806700392087), target=-2.619047619047619, errors=(0.7175839194099853, '
-            '0.3792409186555319), orders=(0.9200329268067919,), mc_ses=(0.01103459409198561, '
-            '0.010121032738812681))')
+            'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.898655898463264, '
+            '-2.2341953139617763), target=-2.619047619047619, errors=(0.7203917205843551, '
+            '0.3848523050858428), orders=(0.9044767121376054,), mc_ses=(0.008561370496208458, '
+            '0.007280438259593006))')
 
     def test_semigroup_check_mc(self):
         rep = semigroup_check_mc(SIG, B, 0.5, 0.5, PINNED_ALPHA, PINNED_POT, PINNED_X, 4,
                                  n=400, seed=1804)
         assert repr(rep) == (
-            'SemigroupReport(s=0.5, t=0.5, direct=0.5779642576105634, '
-            'composed=0.6864883880407857, combined_se=0.07283508422533509)')
+            'SemigroupReport(s=0.5, t=0.5, direct=0.5847161242596417, '
+            'composed=0.6877331410127785, combined_se=0.0726628196653915)')
 
 
 # Kernel and folded values pinned from the two-pipeline estimators (a bridge
@@ -513,8 +515,8 @@ class TestProductReduction:
         plans = _compile_plans(req)
         assert not any(plan.folds for plan in plans)
         data = _chunk(req, plans, 0, req.n_paths)
-        # weighted, then plain: the event path at 2 has its own f_p column
-        assert data.shape == (req.n_paths, 4) and _plain_columns(plans) == [3, 1, 2]
+        # weighted, then plain: the event path at 2 has its own f_p column, then its A_p
+        assert data.shape == (req.n_paths, 5) and _plain_columns(plans) == [3, 1, 2]
         for columns in (data[:, :3], data[:, [3, 1, 2]]):  # all >= 0 and real
             assert (columns.real >= 0).all() and not columns.imag.any()
             _, product_se = _product_mean_se(columns)
@@ -549,8 +551,30 @@ class TestProductReduction:
         assert 0.8 <= np.std(corrections, ddof=1) / np.mean(ses) <= 1.2
 
 
+def _raw_event_z(t, n, seed):
+    """(P_bar - F_p)/SE for the real and the imaginary part, and (A_bar - a_p)/SE,
+    from the raw columns of TestEventControl's request, against the
+    heat-kernel series: _factor_convolution and occupation_series."""
+    from adelic_diffusion.feynman_kac import _compile_exact, _factor_convolution, _run_chunks
+
+    req = FKRequest(SIG, B, t, TestEventControl.X, TestEventControl.ALPHA3,
+                    TestEventControl.POT3, n, 2, seed=seed)
+    _, (plan,) = _compile_exact(req)
+    data = _run_chunks(req, (plan,))
+    free = _factor_convolution(plan.params, t, plan.alpha_f, plan.start)
+    tau, f = plan.v_term
+    action = tau * occupation_series(plan.params, t, plan.start, f.terms)
+    return tuple((np.mean(col) - ref) / math.sqrt(np.var(col, ddof=1) / n) for col, ref in (
+        (data[:, 1].real, free.real), (data[:, 1].imag, free.imag), (data[:, 2].real, action)))
+
+
+@lru_cache(maxsize=1)
+def _raw_event_z_batch():
+    return np.array([_raw_event_z(2.0, 400, 24_100 + k) for k in range(200)])
+
+
 class TestEventControl:
-    """The exact free factor as a control variate at event-path primes."""
+    """f_p(X_t) and the action A_p as control variates at event-path primes."""
 
     # a two-term potential at 3 (1 on B_-1(1) inside 0.25 on B_0(1)) and a
     # complex observable there, from x_3 = 0; prime 2 folds
@@ -566,31 +590,44 @@ class TestEventControl:
         folded, plans = _compile_exact(req)
         return folded, plans, _run_chunks(req, plans)
 
-    def end_law_z(self, t, n, seed):
-        """(P_bar - F_p)/SE at 3 for the real and the imaginary part, from the raw columns."""
-        _, (plan,), data = self.raw(FKRequest(SIG, B, t, self.X, self.ALPHA3, self.POT3, n, 2,
-                                              seed=seed))
-        free, plain = plan.control[0], data[:, 1]
-        return tuple((np.mean(part(plain)) - part(free))
-                     / math.sqrt(np.var(part(plain), ddof=1) / n) for part in (np.real, np.imag))
-
     def test_end_law_calibrated_against_free_factor(self):
-        z = np.array([self.end_law_z(2.0, 400, 24_100 + k) for k in range(200)])
-        for part in z.T:
+        for part in _raw_event_z_batch().T[:2]:
             assert 0.85 <= np.std(part, ddof=1) <= 1.15
             assert abs(np.mean(part)) <= 0.25
+
+    def test_occupation_calibrated_against_series(self):
+        z = _raw_event_z_batch()[:, 2]
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+        assert abs(np.mean(z)) <= 0.25
 
     def test_end_law_catches_alpha_bug(self, monkeypatch):
         import adelic_diffusion.heat_kernel as hk
 
-        from adelic_diffusion.feynman_kac import _mean_var
+        from adelic_diffusion.feynman_kac import _factor_convolution, _mean_var
 
         req = FKRequest(SIG, B, 2.0, self.X, self.ALPHA3, self.POT3, 64_000, 2, seed=24_001)
         alpha = hk.alpha
         monkeypatch.setattr(hk, "alpha", lambda params: 1.15 * alpha(params))
         _, (plan,), data = self.raw(req)
         mean, var = _mean_var(data[:, 1])
-        assert abs(mean - plan.control[0]) > 6 * math.sqrt(var)
+        assert abs(mean - _factor_convolution(plan.params, req.t, plan.alpha_f, plan.start)) \
+            > 6 * math.sqrt(var)
+
+    def test_occupation_catches_alpha_bug(self, monkeypatch):
+        import adelic_diffusion.heat_kernel as hk
+
+        from adelic_diffusion.feynman_kac import _mean_var
+
+        # time spent in B_-2(0) from 0 at 2: about 6 % less at 1.15 times the exit rate
+        ball = SBFunction.indicator(Ball(PAdicScalar.zero(2), -2))
+        req = FKRequest(SIG, B, 2.0, AdelicPoint.resolved_zeros(1), OM,
+                        SimplePotential.of({2: (1.0, ball)}), 16_000, 1, seed=25_001)
+        alpha = hk.alpha
+        monkeypatch.setattr(hk, "alpha", lambda params: 1.15 * alpha(params))
+        _, (plan,), data = self.raw(req)
+        mean, var = _mean_var(data[:, 2])
+        exact = occupation_series(plan.params, req.t, plan.start, ball.terms)
+        assert abs(mean.real - exact) > 6 * math.sqrt(var)
 
     def test_control_algebra_on_raw_columns(self):
         from adelic_diffusion.feynman_kac import _controlled, _plain_columns
@@ -600,28 +637,32 @@ class TestEventControl:
         _, plans, raw = self.raw(req)
         data = _controlled(raw.copy(), plans)
         assert [plan.control is not None for plan in plans] == [True, True, False]
+        assert raw.shape == (3000, 7)  # three weighted columns, then P and A at both event primes
         for col, (plain, plan) in enumerate(zip(_plain_columns(plans), plans)):
             if plan.control is None:  # the endpoint prime keeps its column
                 assert (data[:, col] == raw[:, col]).all()
                 continue
-            free, beta = plan.control
-            tau, f = plan.v_term
-            assert beta == math.exp(-req.t * sum(max(tau * c.real, 0.0) for _, c in f.terms))
+            free, action = plan.control
+            g = math.exp(-action)
             assert (data[:, plain] == free).all()
-            want = np.mean(raw[:, col]) - beta * (np.mean(raw[:, plain]) - free)
+            np.testing.assert_allclose(raw[:, col], raw[:, plain] * np.exp(-raw[:, plain + 2].real),
+                                       rtol=1e-15)
+            want = (np.mean(raw[:, col]) - g * (np.mean(raw[:, plain]) - free)
+                    + g * free * (np.mean(raw[:, plain + 2]) - action))
             assert np.mean(data[:, col]) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
     @pytest.mark.parametrize("tau", [0.5, 5.0])
     def test_control_se_not_above_raw_for_an_indicator(self, tau):
         from adelic_diffusion.feynman_kac import _controlled, _mean_var
 
-        # tau t sup v = tau: beta_p = e^{-tau} is the smallest e^{-A_p}
         pot = SimplePotential.of({2: (tau, SBFunction.indicator(Ball(PAdicScalar.zero(2), -1)))})
         alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), 0))})
         req = FKRequest(SIG, B, 1.0, AdelicPoint.resolved_zeros(1), alpha_f, pot, 4000, 1,
                         seed=24_200)
         _, plans, raw = self.raw(req)
-        assert plans[0].control[1] == math.exp(-tau)
+        (plan,) = plans
+        assert plan.control[1] == pytest.approx(
+            tau * occupation_series(plan.params, 1.0, plan.start, plan.v_term[1].terms), rel=1e-10)
         controlled = _controlled(raw.copy(), plans)
         assert 0 < _mean_var(controlled[:, 0])[1] <= _mean_var(raw[:, 0])[1]
 
@@ -738,6 +779,13 @@ class TestGenerator:
                               [1e-1, 1e-2, 1e-3], n_paths=150_000, N=6, seed=718)
         for order in rep.orders:
             assert 0.7 <= order <= 1.3
+
+    def test_controlled_se_is_positive_where_no_path_returns(self):
+        # with a vacuum potential and observable at 2, a path that leaves Z_2 and
+        # never returns has f_p(X_t) = 0, but its action still varies with the exit time
+        rep = generator_check(SIG, B, OM, VPOT, AdelicPoint.resolved_zeros(1), [0.1, 0.01],
+                              n_paths=3000, N=3, seed=1802)
+        assert all(se > 0 for se in rep.mc_ses)
 
     def test_observable_away_from_point(self):
         # alpha supported off x: finite density-driven limit, no blowup
