@@ -15,8 +15,8 @@ independent per-prime means, with the plug-in SE of that product:
   window integer, draw for draw and bit for bit what `sample_event_path`,
   `_path_action` and `eval_sb` give.  At an event-path prime the end value
   P = f_p(X_t) and the action A_p are control variates, with exact means
-  F_p and a_p from the chain the paths are drawn from, lumped on a ball tree
-  (`lumped.event_means`): once every chunk is drawn, `_controlled` rewrites
+  F_p and a_p from the rates of the chain the paths are drawn from, in closed
+  form (`lumped.event_means`): once every chunk is drawn, `_controlled` rewrites
   the damped column to the first-order expansion of e^{-A_p} about a_p,
   W - g_p (P - F_p) + g_p F_p (A_p - a_p) with g_p = e^{-a_p};
 * kernel mode: the analytic endpoint density is the factor, and each prime
@@ -282,8 +282,8 @@ def _compile_exact(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
     """(exact factor of the folded primes, plans of the sampled ones).
 
     Vacuum factors convolve to reals, so the folded factor is real.  Each
-    event plan carries the exact means of its controls, from the lumped
-    chain of its event paths: F_p = E f_p(X_t) and a_p = E A_p, with
+    event plan carries the exact means of its controls, from the rates its
+    event paths are drawn with: F_p = E f_p(X_t) and a_p = E A_p, with
     A_p = tau int_0^t Re v_p(X_s) ds.
     """
     folded, sampled = 1.0, []

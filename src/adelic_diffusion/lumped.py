@@ -1,45 +1,43 @@
-"""The semigroup side of an event path: its chain lumped exactly on a ball tree.
+"""The semigroup side of an event path, from the chain's own rates in closed form.
 
 An event path at resolution p^r (sampler.event_path_sums) leaves its ball
 B_r(X) at rate lam = exit_rate(r) and lands uniformly on the sphere
-|y - X| = p^d, d = r + k, with k >= 1 geometric, P(k) = (1 - q) q^{k-1} and
-q = p^{-b}.  The tree (Albeverio-Karwowski 1994) is built over the start,
-taken as B_r(start), and the balls B_rho(c) of the observable and the
-potential.  Its nodes are B_l(c) for rho <= l <= top; above K, the level of
-the smallest ball holding all of them, the nodes are the balls around the
-start.  A state is a node minus its child nodes, where that is not empty.
-Every point of a state S lies at one distance p^d from all of another state
-A, so the chain lumps exactly, with rate
+|y - X| = p^{r+k}, with k >= 1 geometric, P(k) = (1 - q) q^{k-1} and
+q = p^{-b}.  On functions constant on the balls B_r its generator Q has the
+ball wavelets as eigenfunctions (Albeverio-Karwowski 1994; Kochubei 2001):
+a function carried by a ball B_l(c), l > r, constant on its p children and
+of mean zero, has
 
-    Q(S, A) = lam (1 - q) q^{d-r-1} Haar(A) / (p^d (1 - 1/p)).
+    Q psi = -mu_l psi,  mu_l = lam q^{l-r-1} (p - q) / (p - 1),
 
-Jumps past the top are lost, at most TOP_LOSS of the mass by time t.  Q is
-reversible for Haar measure, so D^{1/2} Q D^{-1/2} (D the states' Haar
-measures) is symmetric, and one numpy eigh gives e^{tQ} and its time
-integral, read at the start's state.
+since a jump that reaches the sphere p^l leaves the child for the rest of
+B_l, one that goes further averages psi to zero, and a shorter one keeps
+psi's value.  A ball's indicator is a sum of such wavelets,
+1_{B_rho(c)} = p^rho sum_{l > rho} (g_{l-1} - g_l) with g_l = p^{-l} 1_{B_l(c)},
+so for any h, read at x with |x - c| = p^delta,
+
+    h(Q) 1_B(x) = (1 - 1/p) sum_{l > rho} p^{rho+1-l} h(-mu_l)          x in B,
+                = p^{rho-delta} (H_delta - (p - 1) sum_{l > delta} p^{delta-l} H_l)
+                                                                    otherwise,
+
+with H_l = h(0) - h(-mu_l) (the wavelets off B sum to zero).  h(z) = e^{tz}
+gives E 1_B(X_t), and h(z) = (e^{tz} - 1)/z its time integral.  Both sums
+have nonnegative terms, and what follows a term is at most its weight times
+h(0) (x in B), or times that term's H (off B, as H falls in l), so a sum
+stops where that bound is below TAIL_TOL of it: no space is truncated, no
+matrix is formed, and any b > 0 works.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import TruncationError
-from .heat_kernel import SERIES_MAX_TERMS, KernelParams, _frozen, exit_prob, exit_rate
+from .heat_kernel import SERIES_MAX_TERMS, KernelParams, exit_rate
 from .padic import PAdicScalar
 
-TOP_LOSS = 1e-17
-
-
-@dataclass(frozen=True)
-class _Lumped:
-    states: tuple[tuple[int, int], ...]  # (level l, key): the start's leaf (r, 0) first
-    sym: np.ndarray                      # D^{1/2} Q D^{-1/2}
-    scale: np.ndarray                    # sqrt(Haar(A) / Haar(start's leaf)) per state
-    end: np.ndarray                      # e^{tQ}(start, A)
-    occupation: np.ndarray               # int_0^t e^{sQ}(start, A) ds
+TAIL_TOL = 1e-17  # a sum stops where a bound on its rest is below this share of it
 
 
 def event_means(params: KernelParams, t: float, start: PAdicScalar, r: int,
@@ -47,68 +45,63 @@ def event_means(params: KernelParams, t: float, start: PAdicScalar, r: int,
     """(E f(X_t), E int_0^t Re v(X_s) ds) for the event path from start at
     resolution p^r, with f and v the sums of end_terms and action_terms,
     (ball, coeff) pairs of radius at least p^r."""
-    chain, inside = lumped_chain(params, t, start, r, (*end_terms, *action_terms))
-    n = len(end_terms)
-    coeffs = np.array([c for _, c in (*end_terms, *action_terms)], dtype=complex)
-    return (complex(chain.end @ (coeffs[:n] @ inside[:n])),
-            float(chain.occupation @ (coeffs[n:].real @ inside[n:])))
-
-
-def lumped_chain(params: KernelParams, t: float, start: PAdicScalar, r: int,
-                 terms) -> tuple[_Lumped, np.ndarray]:
-    """The chain lumped over start and the balls of terms ((ball, coeff)
-    pairs), and an array holding each ball's indicator over its states."""
-    p = params.p
-    balls = [(ball.radius_exp, ball.center - start) for ball, _ in terms]
-    top = K = max([r, *(rho for rho, _ in balls), *(d.abs_exp() for _, d in balls if not d.is_zero())])
-    for _ in range(SERIES_MAX_TERMS):
-        if 1.0 - exit_prob(params, t, top) < TOP_LOSS:
-            break
-        top += 1
-    else:
-        raise TruncationError(f"no ball of radius up to p^{top} holds the path to {TOP_LOSS}")
-    # a ball B_rho(c) is the key of c - start mod B_rho, as an integer at coarse end p^K
-    keys = [(rho, int(d.coset_key(rho) * p**K)) for rho, d in balls]
     # the rate is an argument so that the cache follows the rate the engine draws with
-    chain = _lumped(params, exit_rate(params, r), t, r, K, top, tuple(sorted(set(keys))))
-    # a state at or below a ball's level lies in it or off it; one above lies off it
-    inside = np.array([[level <= rho and k % p ** (K - rho) == key for level, k in chain.states]
-                       for rho, key in keys], dtype=float).reshape(len(keys), len(chain.states))
-    return chain, inside
+    lam = exit_rate(params, r)
+
+    def means(terms):
+        for ball, coeff in terms:
+            delta = (ball.center - start).abs_exp()
+            yield coeff, _ball_means(params, lam, t, r, ball.radius_exp, delta)
+
+    return (sum((c * end for c, (end, _) in means(end_terms)), 0j),
+            sum((c.real * occupation for c, (_, occupation) in means(action_terms)), 0.0))
 
 
-@lru_cache(maxsize=256)
-def _lumped(params: KernelParams, lam: float, t: float, r: int, K: int, top: int,
-            keys: tuple[tuple[int, int], ...]) -> _Lumped:
-    p, b = params.p, params.b
-    nodes = {(level, key % p ** max(K - level, 0))
-             for rho, key in ((r, 0), *keys) for level in range(rho, top + 1)}
-    states, weights = [], []  # weight: Haar(own part) / p^l
-    for level, key in sorted(nodes):
-        kids = sum(1 for l2, k2 in nodes if l2 == level - 1 and k2 % p ** max(K - level, 0) == key)
-        if kids < p:
-            states.append((level, key))
-            weights.append(1.0 - kids / p)
-    levels, w = np.array([s[0] for s in states], dtype=float), np.array(weights)
-    d = np.maximum.outer(levels, levels)  # the distance exponent, where a node holds the other
-    for i, (li, ki) in enumerate(states):
-        for j in range(i):
-            lj, kj = states[j]
-            level = max(li, lj)
-            while level < K and ki % p ** (K - level) != kj % p ** (K - level):
-                level += 1
-            d[i, j] = d[j, i] = level
-    c0 = lam * (1.0 - p ** -b) / (1.0 - 1.0 / p)
-    # Q(i, j) = c0 q^{d-r-1} p^{l_j - d} w_j, symmetrised by sqrt(Haar_i / Haar_j)
-    sym = (c0 * np.power(float(p), -b * (d - r - 1) + 0.5 * np.add.outer(levels, levels) - d)
-           * np.sqrt(np.outer(w, w)))
-    np.fill_diagonal(sym, 0.0)
-    scale = np.power(float(p), 0.5 * (levels - r)) * np.sqrt(w)
-    # the rate out of each state: to the others, and past the top
-    np.fill_diagonal(sym, -((sym * scale).sum(axis=1) / scale + lam * p ** (-b * (top - r))))
-    eig, vec = np.linalg.eigh(sym)
-    te = t * eig
-    integral = np.where(te == 0.0, t, np.expm1(te) / np.where(eig == 0.0, 1.0, eig))
-    return _Lumped(tuple(states), _frozen(sym), _frozen(scale),
-                   _frozen((vec @ (vec[0] * np.exp(te))) * scale),
-                   _frozen((vec @ (vec[0] * integral)) * scale))
+def wavelet_rate(params: KernelParams, lam: float, r: int, l: int) -> float:
+    """mu_l, the decay rate under the resolution-p^r chain (exit rate lam) of a
+    wavelet carried by a ball of radius p^l, l > r."""
+    q = params.p ** -params.b  # the overshoot ratio sampler.sample_overshoot draws with
+    return lam * q ** (l - r - 1) * (params.p - q) / (params.p - 1)
+
+
+@lru_cache(maxsize=1024)
+def _ball_means(params: KernelParams, lam: float, t: float, r: int, rho: int,
+                delta: int | None) -> tuple[float, float]:
+    """(E 1_B(X_t), int_0^t E 1_B(X_s) ds) for B = B_rho(c) and a start x with
+    |x - c| = p^delta (None: x = c)."""
+    p = params.p
+    inside = delta is None or delta <= rho
+    first = rho + 1 if inside else delta
+    # inside: sums of p^-n h(-mu_{first+n}), each term below p^-n h(0); off B:
+    # the same of H_{first+n}, with the rest below the last term
+    sums = [0.0, 0.0]
+    for n in range(SERIES_MAX_TERMS):
+        y = t * wavelet_rate(params, lam, r, first + n)
+        if inside:  # e^{-y}, and t (1 - e^{-y}) / y
+            terms = (math.exp(-y), -t * math.expm1(-y) / y if y > 0.0 else t)
+        else:       # 1 - e^{-y}, and t (e^{-y} - 1 + y) / y
+            terms = (-math.expm1(-y), t * y * _phi2(y))
+        w = float(p) ** -n
+        for k, h in enumerate(terms):
+            sums[k] += w * h if n == 0 or inside else -(p - 1) * w * h
+        rest = (w / (p - 1), w * t / (p - 1)) if inside else (w * terms[0], w * terms[1])
+        if all(e <= TAIL_TOL * s for e, s in zip(rest, sums)):
+            break
+    else:
+        raise TruncationError(f"wavelet series did not converge within {SERIES_MAX_TERMS} terms")
+    scale = 1.0 - 1.0 / p if inside else float(p) ** (rho - delta)
+    return scale * sums[0], scale * sums[1]
+
+
+def _phi2(y: float) -> float:
+    """(e^{-y} - 1 + y) / y^2 for y >= 0, by its series where the closed form cancels."""
+    if y > 0.5:
+        return (math.expm1(-y) + y) / (y * y)
+    total, term, k = 0.0, 0.5, 2
+    while abs(term) > TAIL_TOL * abs(total) or total == 0.0:
+        total += term
+        k += 1
+        term *= -y / k
+        if term == 0.0:
+            break
+    return total

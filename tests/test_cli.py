@@ -489,7 +489,7 @@ class TestImportCost:
         assert out.stdout.strip() == "[]"
 
     def test_fk_with_potential_loads_no_scipy(self, tmp_path):
-        # the lumped chain behind the event-path controls uses numpy alone
+        # the closed-form means behind the event-path controls need no scipy
         pot, x = tmp_path / "pot.json", tmp_path / "x.json"
         pot.write_text(json.dumps({"components": [{"prime": 3, "tau": 1.0, "terms": [
             {"valuation": 0, "digits": [1], "radius_exp": -1, "coeff": 1.0},

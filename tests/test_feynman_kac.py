@@ -354,7 +354,7 @@ class TestFkExpectation:
 # _path_action and eval_sb per path) at fixed seeds: the window-integer engine
 # must reproduce its raw columns, and the estimate without the control, to the
 # last digit.  The estimates are pinned with f_p(X_t) and the action as control
-# variates at every event-path prime, their means from the lumped chain.
+# variates at every event-path prime, their means from `lumped.event_means`.
 X2 = PAdicScalar.from_rational(Fraction(5, 4), 2)
 PINNED_POT = SimplePotential.of({
     3: (1.0, SBFunction(3, ((Ball(PAdicScalar.from_int(1, 3), -1), 1.0 + 0j),
@@ -389,40 +389,40 @@ class TestPinnedEventValues:
             'std_error=0.006973883758268751, n_paths=3000, tail_certificate=0.9573632836247958, '
             'density_factor=None, bridge_factor=None)')
         assert repr(fk_expectation(req)) == (
-            'FKEstimate(value=(0.3217965315994807+0.1514869672000669j), '
-            'std_error=0.0037171042500750424, n_paths=3000, tail_certificate=0.9573632836247958, '
+            'FKEstimate(value=(0.3217965315994809+0.15148696720006685j), '
+            'std_error=0.003717104250075044, n_paths=3000, tail_certificate=0.9573632836247958, '
             'density_factor=None, bridge_factor=None)')
         for w in (1, 2, 4):
             assert repr(fk_expectation_pair(replace(req, workers=w))) == (
-                '(FKEstimate(value=(0.3217965315994807+0.1514869672000669j), '
-                'std_error=0.0037171042500750424, n_paths=3000, '
+                '(FKEstimate(value=(0.3217965315994809+0.15148696720006685j), '
+                'std_error=0.003717104250075044, n_paths=3000, '
                 'tail_certificate=0.9573632836247958, density_factor=None, bridge_factor=None), '
-                'FKEstimate(value=(0.8985132552532852+0.4045770911168724j), '
-                'std_error=0.009323835788269282, n_paths=3000, tail_certificate=0.9573632836247958, '
-                'density_factor=None, bridge_factor=None), 0.006164717890870951)')
+                'FKEstimate(value=(0.8985132552532863+0.40457709111687273j), '
+                'std_error=0.009323835788269293, n_paths=3000, tail_certificate=0.9573632836247958, '
+                'density_factor=None, bridge_factor=None), 0.0061647178908709604)')
 
     def test_generator_check(self):
         rep = generator_check(SIG, B, OM, VPOT, AdelicPoint.resolved_zeros(1), [1e-1, 1e-2],
                               n_paths=3000, N=3, seed=1802)
         assert repr(rep) == (
-            'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9352466225791056, '
-            '-0.978455184054472), target=-0.9833333333333333, errors=(0.04808671075422766, '
-            '0.004878149278861321), orders=(0.993769985051446,), mc_ses=(0.0007614263512780381, '
+            'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9352466225791012, '
+            '-0.9784551840544498), target=-0.9833333333333333, errors=(0.0480867107542321, '
+            '0.004878149278883526), orders=(0.9937699850495092,), mc_ses=(0.0007614263512780379, '
             '0.00031444074839623564))')
         rep = generator_check(SIG, B, PINNED_ALPHA, PINNED_POT, PINNED_X, [0.5, 0.25],
                               n_paths=1500, N=4, seed=1803)
         assert repr(rep) == (
-            'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.898655898463264, '
-            '-2.2341953139617763), target=-2.619047619047619, errors=(0.7203917205843551, '
-            '0.3848523050858428), orders=(0.9044767121376054,), mc_ses=(0.008561370496208458, '
-            '0.007280438259593006))')
+            'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.8986558984632658, '
+            '-2.2341953139617754), target=-2.619047619047619, errors=(0.7203917205843533, '
+            '0.38485230508584367), orders=(0.9044767121375987,), mc_ses=(0.008561370496208465, '
+            '0.007280438259592989))')
 
     def test_semigroup_check_mc(self):
         rep = semigroup_check_mc(SIG, B, 0.5, 0.5, PINNED_ALPHA, PINNED_POT, PINNED_X, 4,
                                  n=400, seed=1804)
         assert repr(rep) == (
-            'SemigroupReport(s=0.5, t=0.5, direct=0.5847161242596417, '
-            'composed=0.6877331410127785, combined_se=0.0726628196653915)')
+            'SemigroupReport(s=0.5, t=0.5, direct=0.5847161242596413, '
+            'composed=0.6877331410127788, combined_se=0.07266281966539154)')
 
 
 # Kernel and folded values pinned from the two-pipeline estimators (a bridge
