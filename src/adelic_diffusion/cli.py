@@ -273,6 +273,13 @@ def _params(cfg: RunConfig) -> KernelParams:
                         cfg.need("sigma", float, 1.0))
 
 
+def _n_paths(cfg: RunConfig, default: int) -> int:
+    n = cfg.need("n_paths", int, default)
+    if n < 1:
+        raise ConfigError("n_paths must be positive")
+    return n
+
+
 @_command("density", "density_v1", ["m", "density", "sphere_mass", "ball_mass"],
           *_KERNEL, _T)
 def density_cmd(cfg, write):
@@ -300,7 +307,7 @@ def exit_cmd(cfg, write):
     params = _params(cfg)
     T = cfg.need("T", float, 1.0)
     rr = cfg.need("r", int, 0)
-    n = cfg.need("n_paths", int, 20_000)
+    n = _n_paths(cfg, 20_000)
     sd = cfg.need("seed", int, 1)
     analytic = exit_prob(params, T, rr)
     se = math.sqrt(analytic * (1 - analytic) / n)
@@ -331,7 +338,7 @@ def sample_cmd(cfg, write):
     """Emit sampled paths (event records, or skeletons when epochs given)."""
     params = _params(cfg)
     T = cfg.need("T", float, 1.0)
-    n = cfg.need("n_paths", int, 10)
+    n = _n_paths(cfg, 10)
     sd = cfg.need("seed", int, 1)
     epochs = cfg.need("epochs", lambda v: [float(e) for e in v or ()], ())
     rows = []
@@ -366,16 +373,18 @@ def exit_count_cmd(cfg, write):
     T = cfg.need("T", float, 1.0)
     N = cfg.need("truncation", int, 15)
     km = cfg.need("k_max", int, 10)
-    n = cfg.need("n_paths", int, 10_000)
+    n = _n_paths(cfg, 10_000)
     sd = cfg.need("seed", int, 1)
     dist = exit_count_pmf(sigma, bb, T, N, km)
     counts = np.bincount(exit_count_samples(sigma, bb, T, N, n, sd),
                          minlength=km + 1)[:km + 1]
     rows = []
     for k in range(km + 1):
+        # a bound on the full count, whose pmf is >= lo; at k = 0 an equality
         bound = exit_count_factorial_bound(sigma, bb, T, k)
+        slack = 1 + 1e-12 if k == 0 else 1.0
         rows.append(["pmf", k, dist.pmf[k], dist.lo[k], dist.hi[k], bound,
-                     counts[k] / n, bool(dist.pmf[k] <= bound)])
+                     counts[k] / n, bool(dist.lo[k] <= bound * slack)])
     for m in (1, 2):
         exact, bound = exit_count_moment(sigma, bb, T, N, m)
         rows.append(["moment", m, exact, "", "", bound, "", bool(exact < bound)])
@@ -395,6 +404,8 @@ def operator_cmd(cfg, write):
     """Vacuum multiplier norms and operator applications."""
     bb = cfg.need("b", float, 1.0)
     plist = cfg.need("primes", lambda v: [int(q) for q in str(v).split(",")], "2,3,5,7")
+    for p in plist:
+        KernelParams(p, bb, 1.0)  # a ConfigError for a non-prime or b <= 0, before any row
     rows = []
     for p in plist:
         closed = vacuum_multiplier_norm_sq(p, bb)

@@ -16,9 +16,10 @@ independent per-prime means, with the plug-in SE of that product:
   `_path_action` and `eval_sb` give.  At an event-path prime the end value
   P = f_p(X_t) and the action A_p are control variates, with exact means
   F_p and a_p from the rates of the chain the paths are drawn from, in closed
-  form (`lumped.event_means`): once every chunk is drawn, `_controlled` rewrites
-  the damped column to the first-order expansion of e^{-A_p} about a_p,
-  W - g_p (P - F_p) + g_p F_p (A_p - a_p) with g_p = e^{-a_p};
+  form (`lumped.event_means`): as the paths are drawn, `_chunk` makes the
+  prime's one column the first-order expansion of e^{-A_p} about a_p,
+  W - g_p (P - F_p) + g_p F_p (A_p - a_p) with g_p = e^{-a_p}, and keeps
+  neither P nor A_p;
 * kernel mode: the analytic endpoint density is the factor, and each prime
   with a potential draws bridges.  `sample_bridges` fills every path of a
   batch together in a p-adic integer window, and the action is a
@@ -234,15 +235,11 @@ class _PrimePlan:
     r_min: int
     law: RadialLaw | None  # increment law at t; None where nothing is sampled from it
     spec: BridgeSpec | None = None  # kernel mode: the bridge drawn at this prime
-    control: tuple[complex, float] | None = None  # event paths: (F_p, a_p), see _controlled
+    control: tuple[complex, float] | None = None  # event paths: (F_p, a_p), see _chunk
 
     @property
     def folds(self) -> bool:  # no potential, vacuum factor: an exact mean
         return self.v_term is None and self.alpha_f.is_vacuum()
-
-    @property
-    def events(self) -> bool:  # an event path, whose f_p gets a column of its own
-        return self.v_term is not None and self.spec is None
 
 
 def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
@@ -291,7 +288,7 @@ def _compile_exact(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
         if plan.folds:
             xc = req.x.component(plan.params.p)
             folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
-        elif plan.events:
+        elif plan.v_term is not None:  # event paths
             # imported here: only a potential needs it, and each fk command pays
             # for every import in a fresh process
             from .lumped import event_means
@@ -369,29 +366,44 @@ def _bridge_action(paths: BridgeWindow, tau: float, f: SBFunction) -> np.ndarray
     return tau * ((vals[:, :-1] + vals[:, 1:]) * (0.5 * dt)).sum(axis=1)
 
 
-def _plain_columns(plans) -> list[int]:
-    """The chunk column holding f_p for each exact-mode plan: its own at an
-    endpoint prime (A_p = 0), else one of the columns after the weighted ones;
-    an event plan's A_p lies as many columns further on as there are event plans."""
-    extra = iter(range(len(plans), 2 * len(plans)))
-    return [next(extra) if plan.events else col for col, plan in enumerate(plans)]
+def _generator(req: FKRequest, plan: _PrimePlan, chunk_idx: int) -> np.random.Generator:
+    # a leading 0 keys bridge streams apart from exact-mode ones; seeded kernel files rely on it
+    key = (chunk_idx, plan.slot) if plan.spec is None else (0, chunk_idx, plan.slot)
+    return RngStream(req.seed).child(*key).generator()
+
+
+def _chunk_counts(req: FKRequest) -> list[tuple[int, int]]:
+    """(chunk index, path count) of each fixed-size chunk of a request."""
+    return [(i, min(req.chunk_size, req.n_paths - lo))
+            for i, lo in enumerate(range(0, req.n_paths, req.chunk_size))]
+
+
+def _event_draws(req: FKRequest, plan: _PrimePlan, gen: np.random.Generator,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, A_p) per event path: the end value f_p(X_t) and the action, the
+    values of sample_event_path, _path_action and eval_sb bit for bit."""
+    tau, f = plan.v_term
+    integrals, values = event_path_sums(plan.params, plan.start, req.t, plan.r_min, gen,
+                                        count, f.terms, plan.alpha_f.terms)
+    return values, tau * integrals
+
+
+def _raw_event_draws(req: FKRequest, plan: _PrimePlan) -> tuple[np.ndarray, np.ndarray]:
+    """(P, A_p) over all of a request's paths at one event plan, drawn from the
+    streams and chunks that _run_chunks draws them from."""
+    draws = [_event_draws(req, plan, _generator(req, plan, i), count)
+             for i, count in _chunk_counts(req)]
+    return tuple(np.concatenate(parts) for parts in zip(*draws))
 
 
 def _chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
-    """Per-prime columns, shape (count, k + 2e): f_p e^{-A_p} for each of the k
-    plans (f_p = 1 on bridges, A_p = 0 at endpoint primes), then f_p and then
-    A_p for each of the e plans that run event paths.
-
-    Event paths give the values of sample_event_path, _path_action and
-    eval_sb, bit for bit.
-    """
-    stream = RngStream(req.seed)
-    plain, n_events = _plain_columns(plans), sum(plan.events for plan in plans)
-    out = np.empty((count, len(plans) + 2 * n_events), dtype=complex)
+    """Per-prime columns, shape (count, len(plans)): f_p e^{-A_p} for each plan
+    (f_p = 1 on bridges, A_p = 0 at endpoint primes), and at an event-path
+    prime, whose P = f_p(X_t) and A_p have exact means F_p and a_p, the
+    controlled W - g_p (P - F_p) + g_p F_p (A_p - a_p), W = P e^{-A_p}."""
+    out = np.empty((count, len(plans)), dtype=complex)
     for col, plan in enumerate(plans):
-        # a leading 0 keys bridge streams apart from exact-mode ones; seeded kernel files rely on it
-        key = (chunk_idx, plan.slot) if plan.spec is None else (0, chunk_idx, plan.slot)
-        gen = stream.child(*key).generator()
+        gen = _generator(req, plan, chunk_idx)
         if plan.spec is not None:
             tau, f = plan.v_term
             cover = tuple(ball for ball, _ in f.terms)
@@ -402,13 +414,11 @@ def _chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
         elif plan.v_term is None:
             out[:, col] = _endpoint_factor(plan, gen, count)
         else:
-            tau, f = plan.v_term
-            integrals, values = event_path_sums(plan.params, plan.start, req.t, plan.r_min, gen,
-                                                count, f.terms, plan.alpha_f.terms)
-            action = tau * integrals
+            values, action = _event_draws(req, plan, gen, count)
+            free, mean_action = plan.control
+            g = math.exp(-mean_action)
             out[:, col] = values * np.exp(-action)
-            out[:, plain[col]] = values
-            out[:, plain[col] + n_events] = action
+            out[:, col] -= g * ((values - free) - free * (action - mean_action))
     return out
 
 
@@ -417,16 +427,14 @@ def _chunk_entry(args):
 
 
 def _run_chunks(req: FKRequest, plans) -> np.ndarray:
-    """The chunks' arrays stacked in chunk order, each copied into one
-    preallocated (n_paths, ...) array as it arrives and then dropped."""
-    tasks = [(req, plans, i, min(req.chunk_size, req.n_paths - lo))
-             for i, lo in enumerate(range(0, req.n_paths, req.chunk_size))]
+    """The chunks' (count, len(plans)) columns stacked in chunk order, each
+    copied into one preallocated (n_paths, len(plans)) array as it arrives
+    and then dropped."""
+    tasks = [(req, plans, i, count) for i, count in _chunk_counts(req)]
 
     def fill(chunks) -> np.ndarray:
-        out = None
+        out = np.empty((req.n_paths, len(plans)), dtype=complex)
         for (*_, i, count), chunk in zip(tasks, chunks):
-            if out is None:
-                out = np.empty((req.n_paths, *chunk.shape[1:]), dtype=chunk.dtype)
             out[i * req.chunk_size:i * req.chunk_size + count] = chunk
         return out
 
@@ -455,12 +463,6 @@ def _mean_var(values: np.ndarray) -> tuple[complex, float]:
     return mean, float(np.var(values.real, ddof=1) + np.var(values.imag, ddof=1)) / n
 
 
-def _cov(a: np.ndarray, b: np.ndarray) -> complex:
-    """Plug-in covariance of two column means, E[(a - a_bar) conj(b - b_bar)] / n."""
-    n = len(a)
-    return complex(np.sum((a - np.mean(a)) * np.conj(b - np.mean(b)))) / ((n - 1) * n)
-
-
 def _product_se(stats, n: int) -> tuple[complex, float]:
     """Product of independent per-prime means, given as (m_p, e_p) pairs with
     e_p their variance s_p^2/n (0 for an exact factor), and its SE; one pair
@@ -487,62 +489,12 @@ def _product_mean_se(columns: np.ndarray) -> tuple[complex, float]:
     return _product_se([_mean_var(col) for col in columns.T], len(columns))
 
 
-def _difference_se(plain: np.ndarray, weighted: np.ndarray) -> float:
-    """SE of prod P_bar_p - prod W_bar_p over (n, k) per-prime columns, the
-    two columns of a prime sharing paths and distinct primes independent.
-
-    Carries X = prod P_bar and D = prod P_bar - prod W_bar through their
-    means, variances and covariance.  Each prime maps D to X Delta + D W,
-    with Delta = P - W read from its own difference column, so nothing
-    cancels, and one sampled prime gives that column's sqrt(s^2/n).
-    """
-    if len(plain) < 2:
-        return math.inf
-    delta = plain - weighted
-    x, vx = _mean_var(plain[:, 0])
-    d, vd = _mean_var(delta[:, 0])
-    cxd = _cov(plain[:, 0], delta[:, 0])  # Cov(X, D)
-    for p_col, w_col, d_col in zip(plain.T[1:], weighted.T[1:], delta.T[1:]):
-        (p, ep), (w, ew), (dl, ed) = _mean_var(p_col), _mean_var(w_col), _mean_var(d_col)
-        x2, xd = abs(x) ** 2 + vx, x * d.conjugate() + cxd  # E|X|^2, E[X conj D]
-        vd, cxd, vx = (
-            x2 * ed + (abs(d) ** 2 + vd) * ew + abs(dl) ** 2 * vx + abs(w) ** 2 * vd
-            + 2 * (xd * _cov(d_col, w_col) + dl * w.conjugate() * cxd).real,
-            vx * p * dl.conjugate() + x2 * _cov(p_col, d_col) + cxd * p * w.conjugate()
-            + xd * _cov(p_col, w_col),
-            vx * (abs(p) ** 2 + ep) + abs(x) ** 2 * ep,
-        )
-        x, d = x * p, x * dl + d * w
-    return math.sqrt(vd)
-
-
-def _controlled(data: np.ndarray, plans) -> np.ndarray:
-    """The chunk columns with two control variates at each event-path prime,
-    rewritten in place: W - g_p (P - F_p) + g_p F_p (A_p - a_p) for its
-    weighted column W = P e^{-A_p}, with P = f_p(X_t) and A_p on the same
-    path, and the constant F_p for P.
-
-    E P = F_p and E A_p = a_p, so the fixed coefficients keep the mean
-    exactly; they are those of e^{-A_p} expanded to first order about a_p,
-    g_p = e^{-a_p}, with P(A_p - a_p) replaced by F_p (A_p - a_p).  Plans
-    without a control (endpoint primes, bridges) keep their columns.
-    """
-    plain, n_events = _plain_columns(plans), sum(plan.events for plan in plans)
-    for col, plan in enumerate(plans):
-        if plan.control is not None:
-            free, action = plan.control
-            g, end = math.exp(-action), plain[col]
-            data[:, col] -= g * ((data[:, end] - free) - free * (data[:, end + n_events] - action))
-            data[:, end] = free
-    return data
-
-
 def _weighted_mean_se(req: FKRequest, plans) -> tuple[complex, float]:
-    """Product of the per-prime means of f_p e^{-A_p} (with the control at
+    """Product of the per-prime means of f_p e^{-A_p} (with the controls at
     event primes) and its SE; exactly 1, SE 0, where nothing is sampled."""
     if not plans:
         return 1 + 0j, 0.0
-    return _product_mean_se(_controlled(_run_chunks(req, plans), plans)[:, :len(plans)])
+    return _product_mean_se(_run_chunks(req, plans))
 
 
 def _estimate(req: FKRequest, factor: float, mean: complex, se: float,
@@ -564,7 +516,7 @@ def fk_expectation(req: FKRequest) -> FKEstimate:
     integral is exact.  The estimate is the product of the per-prime means
     of f_p e^{-A_p}, scaled by the folded factor; at an event-path prime
     f_p(X_t) and A_p serve as control variates with exact means (see
-    _controlled).
+    _chunk).
     """
     folded, plans = _compile_exact(req)
     return _estimate(req, folded, *_weighted_mean_se(req, plans))
@@ -574,26 +526,31 @@ def fk_expectation_pair(req: FKRequest) -> tuple[FKEstimate, FKEstimate, float]:
     """(damped estimate, free estimate, se of the damping correction).
 
     Each estimate is the product of per-prime means: f_p e^{-A_p} for the
-    damped one (with fk_expectation's control at event-path primes), f_p for
-    the free one, whose factor at an event-path prime is the exact F_p, with
-    no error.  Both share paths, so their difference estimates
-    E[(1 - e^{-int v}) alpha(X_t)] with strongly reduced variance; its SE is
-    the plug-in variance of prod P_bar_p - prod W_bar_p with the primes
-    independent.  The folded primes' exact factor scales the means and SEs
-    of the sampled ones, which keep their streams.
+    damped one (with fk_expectation's controls), f_p for the free one, which
+    is the exact F_p at an event-path prime and the damped column at an
+    endpoint prime.  So the difference, an estimate of
+    E[(1 - e^{-int v}) alpha(X_t)], is M (prod F_p - prod W_bar_p) with M the
+    endpoint means' product, independent of the event-path factor; its SE is
+    that of a product of independent factors.  The folded primes' exact
+    factor scales the means and SEs.
     """
     folded, plans = _compile_exact(req)
     if not plans:
         exact = _estimate(req, folded, 1 + 0j, 0.0)
         return exact, exact, 0.0
-    data = _controlled(_run_chunks(req, plans), plans)
-    weighted, plain = data[:, :len(plans)], data[:, _plain_columns(plans)]
-    free = [(plan.control[0], 0.0) if plan.control is not None else _mean_var(col)
-            for plan, col in zip(plans, plain.T)]
+    n = req.n_paths
+    stats = [_mean_var(col) for col in _run_chunks(req, plans).T]
+    free = [(plan.control[0], 0.0) if plan.control is not None else st
+            for plan, st in zip(plans, stats)]
+    events = [st for plan, st in zip(plans, stats) if plan.control is not None]
+    damped, damped_se = _product_se(events, n) if events else (1 + 0j, 0.0)  # prod W_bar_p
+    exact = math.prod(plan.control[0] for plan in plans if plan.control is not None)
+    ends = [st for plan, st in zip(plans, stats) if plan.control is None]
+    _, correction_se = _product_se([*ends, (exact - damped, damped_se ** 2)], n)
     return (
-        _estimate(req, folded, *_product_mean_se(weighted)),
-        _estimate(req, folded, *_product_se(free, req.n_paths)),
-        _difference_se(plain, weighted) * abs(folded),
+        _estimate(req, folded, *_product_se(stats, n)),
+        _estimate(req, folded, *_product_se(free, n)),
+        correction_se * abs(folded),
     )
 
 

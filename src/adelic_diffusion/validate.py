@@ -252,7 +252,6 @@ def check_event_action_exactness(fast: bool) -> CheckResult:
     pot = SimplePotential.of({2: (1.0, SBFunction.vacuum(2))})
     t = 1.0
     n = 400 if fast else 1500
-    gen = RngStream(BASE_SEED).child(13).generator()
     diffs = []
     for steps in (16, 32, 64):
         gen_e = RngStream(BASE_SEED).child(14).generator()
@@ -457,19 +456,11 @@ def check_fk_positivity(fast: bool) -> CheckResult:
                    f"estimate {est.value.real:.5f}", ">= -3 SE")
 
 
-def _event_columns(req: FKRequest):
-    """The one event plan of an exact-mode request and its raw columns W, P, A."""
-    from .feynman_kac import _compile_exact, _run_chunks
-
-    _, (plan,) = _compile_exact(req)
-    return plan, _run_chunks(req, (plan,))
-
-
 def check_fk_event_end_law(fast: bool) -> CheckResult:
     # estimates take f_p(X_t) as a control variate at event-path primes, with
     # its mean from the same chain as the draws, so a fault in the engine moves
-    # both; the raw column is checked against the heat-kernel series instead
-    from .feynman_kac import _factor_convolution, _mean_var
+    # both; the raw draws are checked against the heat-kernel series instead
+    from .feynman_kac import _compile_exact, _factor_convolution, _mean_var, _raw_event_draws
 
     sigma = SigmaSequence.inverse_square()
     one, four = PAdicScalar.from_int(1, 3), PAdicScalar.from_int(4, 3)
@@ -479,8 +470,8 @@ def check_fk_event_end_law(fast: bool) -> CheckResult:
                                                  (Ball(PAdicScalar.zero(3), 0), 1.0 + 0.5j)))})
     req = FKRequest(sigma, 1.0, 2.0, AdelicPoint.resolved_zeros(2), alpha, pot,
                     8000 if fast else 32_000, 2, seed=BASE_SEED + 100)
-    plan, data = _event_columns(req)
-    mean, var = _mean_var(data[:, 1])
+    _, (plan,) = _compile_exact(req)
+    mean, var = _mean_var(_raw_event_draws(req, plan)[0])
     free, se = _factor_convolution(plan.params, req.t, plan.alpha_f, plan.start), math.sqrt(var)
     return _result("feynman_kac", "event_end_law", abs(mean - free) <= 4 * se,
                    f"mean f(X_t) {mean:.5f} vs exact {free:.5f} (se {se:.5f})", "within 4 SE")
@@ -492,15 +483,15 @@ def check_fk_event_occupation(fast: bool) -> CheckResult:
     # around the start falls by about 6 % if the exit rate is 1.15 times too high
     from scipy.integrate import quad
 
-    from .feynman_kac import _mean_var
+    from .feynman_kac import _compile_exact, _mean_var, _raw_event_draws
 
     sigma = SigmaSequence.inverse_square()
     ball = Ball(PAdicScalar.zero(2), -2)
     req = FKRequest(sigma, 1.0, 2.0, AdelicPoint.resolved_zeros(1), SimpleAdelicSB.vacuum(),
                     SimplePotential.of({2: (1.0, SBFunction.indicator(ball))}),
                     8000 if fast else 32_000, 1, seed=BASE_SEED + 101)
-    plan, data = _event_columns(req)
-    mean, var = _mean_var(data[:, 2])
+    _, (plan,) = _compile_exact(req)
+    mean, var = _mean_var(_raw_event_draws(req, plan)[1])
     exact = quad(lambda s: hk.ball_kernel_mass(plan.params, s, None, ball.radius_exp),
                  0.0, req.t, epsrel=1e-12)[0]
     se = math.sqrt(var)

@@ -98,6 +98,16 @@ class TestExitCount:
         moment_rows = [r for r in rows[1:] if r[1] == "moment"]
         assert all(r[8] == "True" for r in moment_rows)
 
+    def test_default_run_is_below_bound(self, runner, tmp_path):
+        # the bound is on the full count: at k = 0 the truncated pmf (0.72152 at
+        # N = 15) lies above it, the lower end of the full count's pmf does not
+        out = tmp_path / "c.csv"
+        res = runner.invoke(main, ["exit-count", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_csv(out)
+        assert rows[0][8] == "below_bound"
+        assert [r[8] for r in rows[1:]] == ["True"] * 13
+
     def test_mc_column_is_vectorised_sampler(self, runner, tmp_path):
         out = tmp_path / "c.csv"
         res = runner.invoke(main, ["exit-count", "-N", "6", "--k-max", "4",
@@ -320,6 +330,29 @@ class TestExitCodes:
                                        "-o", str(tmp_path / "fk.csv")])
             assert res.exit_code == 2, name
             assert "config error" in res.output
+
+    @pytest.mark.parametrize("args", [["exit", "--n-paths", "0"],
+                                      ["exit-count", "--n-paths", "0"],
+                                      ["sample", "--n-paths", "-1"]])
+    def test_nonpositive_path_count_exits_two(self, runner, tmp_path, args):
+        out = tmp_path / "o.csv"
+        res = runner.invoke(main, [*args, "-o", str(out)])
+        assert res.exit_code == 2
+        assert "config error: n_paths must be positive" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--b", "-1"], "exponent b must be positive"),
+        (["--primes", "1"], "p=1 is not prime"),
+        (["--primes", "0,2"], "p=0 is not prime"),
+        (["--primes", "2,4"], "p=4 is not prime"),
+    ])
+    def test_operator_input_exits_two_before_any_row(self, runner, tmp_path, args, message):
+        out = tmp_path / "op.csv"
+        res = runner.invoke(main, ["operator", *args, "-o", str(out)])
+        assert res.exit_code == 2
+        assert f"config error: {message}" in res.output
+        assert not out.exists()
 
     def test_truncation_error_exits_three(self, runner, tmp_path):
         res = runner.invoke(main, ["sample", "-p", "2", "-T", "1", "--resolution", "-40",

@@ -352,7 +352,7 @@ class TestFkExpectation:
 
 # Draws pinned from the PAdicScalar event-path engine (sample_event_path,
 # _path_action and eval_sb per path) at fixed seeds: the window-integer engine
-# must reproduce its raw columns, and the estimate without the control, to the
+# must reproduce its raw draws, and the estimate without the controls, to the
 # last digit.  The estimates are pinned with f_p(X_t) and the action as control
 # variates at every event-path prime, their means from `lumped.event_means`.
 X2 = PAdicScalar.from_rational(Fraction(5, 4), 2)
@@ -371,19 +371,27 @@ PINNED_ALPHA = SimpleAdelicSB.of({
 PINNED_X = AdelicPoint.of({2: X2, 3: PAdicScalar.zero(3), 5: PAdicScalar.zero(5)})
 
 
+def _uncontrolled(req, plans):
+    """The chunk columns of a request's plans, with each event plan's column
+    the uncontrolled W = P e^{-A_p}, from that plan's raw draws."""
+    from adelic_diffusion.feynman_kac import _raw_event_draws, _run_chunks
+
+    columns = _run_chunks(req, plans)
+    for col, plan in enumerate(plans):
+        if plan.control is not None:
+            ends, actions = _raw_event_draws(req, plan)
+            columns[:, col] = ends * np.exp(-actions)
+    return columns
+
+
 class TestPinnedEventValues:
     def test_expectation_and_pair_at_every_worker_count(self):
-        from adelic_diffusion.feynman_kac import (
-            _compile_exact,
-            _estimate,
-            _product_mean_se,
-            _run_chunks,
-        )
+        from adelic_diffusion.feynman_kac import _compile_exact, _estimate, _product_mean_se
 
         req = FKRequest(SIG, B, 1.5, PINNED_X, PINNED_ALPHA, PINNED_POT, 3000, 4, seed=1801,
                         chunk_size=1000)
         folded, plans = _compile_exact(req)
-        raw = _run_chunks(req, plans)[:, :len(plans)]
+        raw = _uncontrolled(req, plans)
         assert repr(_estimate(req, folded, *_product_mean_se(raw))) == (
             'FKEstimate(value=(0.3307950767501668+0.15657301365094206j), '
             'std_error=0.006973883758268751, n_paths=3000, tail_certificate=0.9573632836247958, '
@@ -407,15 +415,15 @@ class TestPinnedEventValues:
         assert repr(rep) == (
             'GeneratorReport(ts=(0.1, 0.01), finite_differences=(-0.9352466225791012, '
             '-0.9784551840544498), target=-0.9833333333333333, errors=(0.0480867107542321, '
-            '0.004878149278883526), orders=(0.9937699850495092,), mc_ses=(0.0007614263512780379, '
+            '0.004878149278883526), orders=(0.9937699850495092,), mc_ses=(0.0007614263512780377, '
             '0.00031444074839623564))')
         rep = generator_check(SIG, B, PINNED_ALPHA, PINNED_POT, PINNED_X, [0.5, 0.25],
                               n_paths=1500, N=4, seed=1803)
         assert repr(rep) == (
             'GeneratorReport(ts=(0.5, 0.25), finite_differences=(-1.8986558984632658, '
             '-2.2341953139617754), target=-2.619047619047619, errors=(0.7203917205843533, '
-            '0.38485230508584367), orders=(0.9044767121375987,), mc_ses=(0.008561370496208465, '
-            '0.007280438259592989))')
+            '0.38485230508584367), orders=(0.9044767121375987,), mc_ses=(0.00856137049620847, '
+            '0.007280438259592994))')
 
     def test_semigroup_check_mc(self):
         rep = semigroup_check_mc(SIG, B, 0.5, 0.5, PINNED_ALPHA, PINNED_POT, PINNED_X, 4,
@@ -502,9 +510,9 @@ class TestProductReduction:
     def test_product_se_not_above_joint_on_same_columns(self):
         from adelic_diffusion.feynman_kac import (
             _chunk,
-            _compile_plans,
-            _plain_columns,
+            _compile_exact,
             _product_mean_se,
+            _raw_event_draws,
         )
 
         pot = SimplePotential.of({2: (0.8, SBFunction.indicator(Ball(PAdicScalar.zero(2), -1)))})
@@ -512,12 +520,15 @@ class TestProductReduction:
         alpha_f = SimpleAdelicSB.of({2: self.F2, 3: self.F3, 5: SBFunction.indicator(
             Ball(PAdicScalar.zero(5), -1))})
         req = FKRequest(SIG, B, 2.0, x, alpha_f, pot, 4000, 3, seed=16_050)
-        plans = _compile_plans(req)
-        assert not any(plan.folds for plan in plans)
+        _, plans = _compile_exact(req)
+        assert len(plans) == 3  # no prime folds
         data = _chunk(req, plans, 0, req.n_paths)
-        # weighted, then plain: the event path at 2 has its own f_p column, then its A_p
-        assert data.shape == (req.n_paths, 5) and _plain_columns(plans) == [3, 1, 2]
-        for columns in (data[:, :3], data[:, [3, 1, 2]]):  # all >= 0 and real
+        assert data.shape == (req.n_paths, 3) and plans[0].control is not None
+        # the event path at 2, uncontrolled: damped W = P e^{-A_p}, and plain P
+        ends, actions = _raw_event_draws(req, plans[0])
+        weighted, plain = data.copy(), data.copy()
+        weighted[:, 0], plain[:, 0] = ends * np.exp(-actions), ends
+        for columns in (weighted, plain):  # all >= 0 and real
             assert (columns.real >= 0).all() and not columns.imag.any()
             _, product_se = _product_mean_se(columns)
             _, joint_se = _product_mean_se(np.prod(columns, axis=1, keepdims=True))
@@ -553,19 +564,18 @@ class TestProductReduction:
 
 def _raw_event_z(t, n, seed):
     """(P_bar - F_p)/SE for the real and the imaginary part, and (A_bar - a_p)/SE,
-    from the raw columns of TestEventControl's request, against the
+    from the raw draws of TestEventControl's request, against the
     heat-kernel series: _factor_convolution and occupation_series."""
-    from adelic_diffusion.feynman_kac import _compile_exact, _factor_convolution, _run_chunks
+    from adelic_diffusion.feynman_kac import _factor_convolution
 
     req = FKRequest(SIG, B, t, TestEventControl.X, TestEventControl.ALPHA3,
                     TestEventControl.POT3, n, 2, seed=seed)
-    _, (plan,) = _compile_exact(req)
-    data = _run_chunks(req, (plan,))
+    plan, ends, actions = TestEventControl.raw(req)
     free = _factor_convolution(plan.params, t, plan.alpha_f, plan.start)
     tau, f = plan.v_term
     action = tau * occupation_series(plan.params, t, plan.start, f.terms)
     return tuple((np.mean(col) - ref) / math.sqrt(np.var(col, ddof=1) / n) for col, ref in (
-        (data[:, 1].real, free.real), (data[:, 1].imag, free.imag), (data[:, 2].real, action)))
+        (ends.real, free.real), (ends.imag, free.imag), (actions, action)))
 
 
 @lru_cache(maxsize=1)
@@ -584,11 +594,11 @@ class TestEventControl:
 
     @staticmethod
     def raw(req):
-        """(folded factor, plans, raw chunk columns) of an exact-mode request."""
-        from adelic_diffusion.feynman_kac import _compile_exact, _run_chunks
+        """The one event plan of an exact-mode request and its raw draws P and A_p."""
+        from adelic_diffusion.feynman_kac import _compile_exact, _raw_event_draws
 
-        folded, plans = _compile_exact(req)
-        return folded, plans, _run_chunks(req, plans)
+        _, (plan,) = _compile_exact(req)
+        return plan, *_raw_event_draws(req, plan)
 
     def test_end_law_calibrated_against_free_factor(self):
         for part in _raw_event_z_batch().T[:2]:
@@ -608,8 +618,8 @@ class TestEventControl:
         req = FKRequest(SIG, B, 2.0, self.X, self.ALPHA3, self.POT3, 64_000, 2, seed=24_001)
         alpha = hk.alpha
         monkeypatch.setattr(hk, "alpha", lambda params: 1.15 * alpha(params))
-        _, (plan,), data = self.raw(req)
-        mean, var = _mean_var(data[:, 1])
+        plan, ends, _ = self.raw(req)
+        mean, var = _mean_var(ends)
         assert abs(mean - _factor_convolution(plan.params, req.t, plan.alpha_f, plan.start)) \
             > 6 * math.sqrt(var)
 
@@ -624,50 +634,55 @@ class TestEventControl:
                         SimplePotential.of({2: (1.0, ball)}), 16_000, 1, seed=25_001)
         alpha = hk.alpha
         monkeypatch.setattr(hk, "alpha", lambda params: 1.15 * alpha(params))
-        _, (plan,), data = self.raw(req)
-        mean, var = _mean_var(data[:, 2])
+        plan, _, actions = self.raw(req)
+        mean, var = _mean_var(actions)
         exact = occupation_series(plan.params, req.t, plan.start, ball.terms)
         assert abs(mean.real - exact) > 6 * math.sqrt(var)
 
-    def test_control_algebra_on_raw_columns(self):
-        from adelic_diffusion.feynman_kac import _controlled, _plain_columns
+    def test_control_algebra_on_raw_draws(self):
+        from adelic_diffusion.feynman_kac import (
+            _chunk_counts,
+            _compile_exact,
+            _endpoint_factor,
+            _generator,
+            _raw_event_draws,
+            _run_chunks,
+        )
 
         req = FKRequest(SIG, B, 1.5, PINNED_X, PINNED_ALPHA, PINNED_POT, 3000, 4, seed=1801,
                         chunk_size=1000)
-        _, plans, raw = self.raw(req)
-        data = _controlled(raw.copy(), plans)
+        _, plans = _compile_exact(req)
+        data = _run_chunks(req, plans)
         assert [plan.control is not None for plan in plans] == [True, True, False]
-        assert raw.shape == (3000, 7)  # three weighted columns, then P and A at both event primes
-        for col, (plain, plan) in enumerate(zip(_plain_columns(plans), plans)):
-            if plan.control is None:  # the endpoint prime keeps its column
-                assert (data[:, col] == raw[:, col]).all()
-                continue
-            free, action = plan.control
-            g = math.exp(-action)
-            assert (data[:, plain] == free).all()
-            np.testing.assert_allclose(raw[:, col], raw[:, plain] * np.exp(-raw[:, plain + 2].real),
-                                       rtol=1e-15)
-            want = (np.mean(raw[:, col]) - g * (np.mean(raw[:, plain]) - free)
-                    + g * free * (np.mean(raw[:, plain + 2]) - action))
-            assert np.mean(data[:, col]) == pytest.approx(want, rel=1e-14, abs=1e-14)
+        assert data.shape == (3000, 3) and data.dtype == complex  # one column per plan
+        for col, plan in enumerate(plans):
+            if plan.control is None:  # the endpoint prime's column, chunk by chunk
+                want = np.concatenate([_endpoint_factor(plan, _generator(req, plan, i), count)
+                                       for i, count in _chunk_counts(req)])
+            else:
+                free, action = plan.control
+                g = math.exp(-action)
+                ends, actions = _raw_event_draws(req, plan)
+                assert actions.dtype == float
+                want = ends * np.exp(-actions) - g * ((ends - free) - free * (actions - action))
+            assert (data[:, col] == want).all()
 
     @pytest.mark.parametrize("tau", [0.5, 5.0])
     def test_control_se_not_above_raw_for_an_indicator(self, tau):
-        from adelic_diffusion.feynman_kac import _controlled, _mean_var
+        from adelic_diffusion.feynman_kac import _mean_var, _run_chunks
 
         pot = SimplePotential.of({2: (tau, SBFunction.indicator(Ball(PAdicScalar.zero(2), -1)))})
         alpha_f = SimpleAdelicSB.of({2: SBFunction.indicator(Ball(PAdicScalar.zero(2), 0))})
         req = FKRequest(SIG, B, 1.0, AdelicPoint.resolved_zeros(1), alpha_f, pot, 4000, 1,
                         seed=24_200)
-        _, plans, raw = self.raw(req)
-        (plan,) = plans
+        plan, ends, actions = self.raw(req)
         assert plan.control[1] == pytest.approx(
             tau * occupation_series(plan.params, 1.0, plan.start, plan.v_term[1].terms), rel=1e-10)
-        controlled = _controlled(raw.copy(), plans)
-        assert 0 < _mean_var(controlled[:, 0])[1] <= _mean_var(raw[:, 0])[1]
+        controlled = _run_chunks(req, (plan,))
+        assert 0 < _mean_var(controlled[:, 0])[1] <= _mean_var(ends * np.exp(-actions))[1]
 
     def test_calibrated_against_raw_on_disjoint_seeds(self):
-        from adelic_diffusion.feynman_kac import _product_mean_se
+        from adelic_diffusion.feynman_kac import _compile_exact, _product_mean_se
 
         # real factors, so the SEs are those of the real parts; 5 is an endpoint prime
         alpha_f = SimpleAdelicSB.of({
@@ -680,8 +695,9 @@ class TestEventControl:
         for k in range(200):
             req = FKRequest(SIG, B, 1.0, x, alpha_f, self.POT3, 400, 3, seed=24_300 + k)
             new = fk_expectation(req)
-            folded, plans, raw = self.raw(replace(req, seed=24_600 + k))
-            raw_mean, raw_se = _product_mean_se(raw[:, :len(plans)])
+            raw_req = replace(req, seed=24_600 + k)
+            folded, plans = _compile_exact(raw_req)
+            raw_mean, raw_se = _product_mean_se(_uncontrolled(raw_req, plans))
             z.append((new.value.real - folded * raw_mean.real)
                      / math.hypot(new.std_error, folded * raw_se))
         assert 0.85 <= np.std(z, ddof=1) <= 1.15
