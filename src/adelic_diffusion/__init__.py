@@ -4,7 +4,6 @@ Monte Carlo with reproducible counter-based streams."""
 __version__ = "0.1.0"
 
 from .adelic import (
-    AdelicPathBundle,
     AdelicPoint,
     ExitCountDistribution,
     SigmaSequence,
@@ -13,7 +12,6 @@ from .adelic import (
     exit_count_moment,
     exit_count_pmf,
     exit_count_samples,
-    sample_adelic_path,
     tail_certificate,
 )
 from .errors import (
@@ -31,15 +29,11 @@ from .feynman_kac import (
     FKEstimate,
     FKRequest,
     FreePropagation,
-    GeneratorReport,
-    SemigroupReport,
     action_integral,
     fk_expectation,
     fk_expectation_pair,
     fk_kernel,
     free_propagate,
-    generator_check,
-    semigroup_check_mc,
 )
 from .heat_kernel import (
     KernelParams,

@@ -1,4 +1,5 @@
-"""Adelic points and paths as truncated products over primes.
+"""Adelic points, rate sequences and exit counts, truncated to finitely
+many primes.
 
 A diffusion rate sequence (sigma_i) with finite sum makes the adelic paths
 a full-measure set, so a finite active-prime truncation plus a certificate
@@ -21,13 +22,6 @@ from .heat_kernel import KernelParams, alpha_pb
 from .padic import PAdicScalar
 from .primes import TABLE_SIZE, prime_at, prime_index
 from .rng import RngStream
-from .sampler import (
-    EventPath,
-    PathSkeleton,
-    sample_event_path,
-    sample_skeleton,
-    sup_norm_exceeds,
-)
 
 # Paths per (chunk, prime) stream in exit_count_samples; fixing it keeps the
 # draws of prime i the same whatever the truncation N.
@@ -47,6 +41,13 @@ def _suffix(sigma: "SigmaSequence", term) -> tuple[float, ...]:
     for i in range(top, 0, -1):
         out[i - 1] = out[i] + term(i)
     return tuple(out)
+
+
+def _tail_at(suffix: tuple[float, ...], N: int) -> float:
+    """suffix[N], with every N past the table reading the beyond-table tail."""
+    if N < 0:
+        raise ConfigError("truncation N must be nonnegative")
+    return suffix[min(N, len(suffix) - 1)]
 
 
 @lru_cache(maxsize=64)
@@ -109,7 +110,7 @@ class SigmaSequence:
         Beyond the prime table the tail rule is dominated by the integral
         C x^-s over x > p_top.
         """
-        return _sigma_suffix(self)[min(N, self.n_defined())]
+        return _tail_at(_sigma_suffix(self), N)
 
     def sigma_total_upper(self) -> float:
         return self.sigma_tail_upper(0)
@@ -120,7 +121,7 @@ class SigmaSequence:
 
     def beta_tail_upper(self, N: int, b: float) -> float:
         """Upper bound on sum_{i > N} sigma_i alpha_i (alpha < 1 past table)."""
-        return _beta_suffix(self, b)[min(N, self.n_defined())]
+        return _tail_at(_beta_suffix(self, b), N)
 
 
 @dataclass(frozen=True)
@@ -213,40 +214,6 @@ def component_difference(x: AdelicPoint, y: AdelicPoint, p: int):
     return ("unit_ball", None)
 
 
-@dataclass(frozen=True)
-class AdelicPathBundle:
-    """Independent per-prime path samples for primes 1..tail_cutoff.
-
-    tail_certificate is the guaranteed lower bound e^{-T sum_{i>N} beta_i}
-    on the probability that every inactive component stays in Z_p on [0, T].
-    """
-
-    components: tuple[tuple[int, EventPath | PathSkeleton], ...]
-    horizon: float
-    tail_cutoff: int
-    tail_certificate: float
-
-    def component(self, p: int):
-        for q, path in self.components:
-            if q == p:
-                return path
-        raise KeyError(f"prime {p} not sampled in bundle")
-
-    def exit_count(self) -> int:
-        """Number of sampled components that left Z_p by the horizon.
-
-        Requires event-path components at resolution <= 0.
-        """
-        n = 0
-        for _, path in self.components:
-            if not isinstance(path, EventPath):
-                raise ConfigError("exit counting needs event-path bundles")
-            if path.resolution > 0:
-                raise ConfigError("exit counting needs resolution <= p^0")
-            n += sup_norm_exceeds(path, 0)
-        return n
-
-
 def choose_truncation(sigma: SigmaSequence, b: float, T: float, eps: float) -> int:
     """Smallest N with certificate e^{-T sum_{i>N} sigma_i alpha_i} >= 1 - eps."""
     if not 0 < eps < 1:
@@ -264,38 +231,13 @@ def tail_certificate(sigma: SigmaSequence, b: float, T: float, N: int) -> float:
     return math.exp(-T * sigma.beta_tail_upper(N, b))
 
 
-def sample_adelic_path(sigma: SigmaSequence, b: float, T: float, start: AdelicPoint,
-                       N: int, rng: RngStream, epochs=None,
-                       resolution: int | None = None,
-                       precision: int = 32) -> AdelicPathBundle:
-    """Independent per-prime samples for primes 1..N with a tail certificate.
-
-    Exactly one of `epochs` (skeleton mode) or `resolution` (event mode)
-    must be given.  Component i uses the sub-stream rng.child(i), so the
-    bundle is reproducible regardless of scheduling.
-    """
-    if (epochs is None) == (resolution is None):
-        raise ConfigError("give exactly one of epochs or resolution")
-    if N < start.max_active_index():
-        raise ConfigError("truncation N must cover every active prime")
-    if N > sigma.n_defined():
-        raise ConfigError("truncation N exceeds defined sigma sequence")
-    comps = []
-    for i in range(1, N + 1):
-        p = prime_at(i)
-        params = sigma.kernel_params(i, b)
-        x0 = start.component(p)
-        if x0 is None:
-            x0 = PAdicScalar.zero(p)
-        sub = rng.child(i)
-        if resolution is not None:
-            path = sample_event_path(params, x0, T, resolution, sub)
-        else:
-            path = sample_skeleton(params, epochs, x0, sub, precision)
-        comps.append((p, path))
-    return AdelicPathBundle(
-        tuple(comps), T, N, tail_certificate(sigma, b, T, N)
-    )
+def _check_exit_count(b: float, T: float, N: int) -> None:
+    if not b > 0:
+        raise ConfigError("exponent b must be positive")
+    if not T >= 0:
+        raise ConfigError("T must be nonnegative")
+    if N < 0:
+        raise ConfigError("truncation N must be nonnegative")
 
 
 def exit_count_samples(sigma: SigmaSequence, b: float, T: float, N: int,
@@ -305,9 +247,10 @@ def exit_count_samples(sigma: SigmaSequence, b: float, T: float, N: int,
     A component exits Z_p by T iff the first holding time of its event
     chain at resolution 0 is below T, i.e. an Exponential(beta_i) draw;
     only that first draw is simulated, vectorized per (chunk, prime)
-    stream, so the law matches full bundle sampling exactly and the
+    stream, so the law matches per-prime event paths exactly and the
     output is independent of scheduling.
     """
+    _check_exit_count(b, T, N)
     rates = np.array([sigma.beta(i, b) for i in range(1, N + 1)])
     out = np.zeros(n, dtype=np.int64)
     base = RngStream(seed)
@@ -337,10 +280,6 @@ class ExitCountDistribution:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     tail_exit_bound: float
-
-    @property
-    def k_max(self) -> int:
-        return len(self.pmf) - 1
 
     def mean(self) -> float:
         return float(sum(self.qs))
@@ -372,6 +311,7 @@ def exit_count_pmf(sigma: SigmaSequence, b: float, T: float, N: int,
     q_i = 1 - e^{-T beta_i}; the count is a sum of independent Bernoulli
     variables, so the pmf follows by dynamic programming.
     """
+    _check_exit_count(b, T, N)
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
     qs = tuple(1.0 - math.exp(-T * sigma.beta(i, b)) for i in range(1, N + 1))

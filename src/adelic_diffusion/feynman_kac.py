@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,7 @@ from .sampler import (
     increment_law,
     sample_bridge,  # noqa: F401  unused here; perfbench/layers.py patches this name
     sample_bridges,
-    sample_event_path,
-    sample_increment,
+    sample_event_path,  # noqa: F401  unused here; perfbench/layers.py patches this name
 )
 from .schwartz import (
     SBFunction,
@@ -77,13 +76,12 @@ from .schwartz import (
     eval_sb,
     require_resolved,
     resolution_for,
-    truncated_vladimirov_apply,
 )
 
 DEFAULT_CHUNK = 4096
 # Bridges sampled together; bounds the window integers a chunk holds at once.
 BRIDGE_BATCH = 256
-# p-adic digits kept in bridge jumps and semigroup-check increments, counting the leading one.
+# p-adic digits kept in bridge jumps, counting the leading one.
 PRECISION = 24
 
 
@@ -237,37 +235,6 @@ class _PrimePlan:
     spec: BridgeSpec | None = None  # kernel mode: the bridge drawn at this prime
     control: tuple[complex, float] | None = None  # event paths: (F_p, a_p), see _chunk
 
-    @property
-    def folds(self) -> bool:  # no potential, vacuum factor: an exact mean
-        return self.v_term is None and self.alpha_f.is_vacuum()
-
-
-def _compile_plans(req: FKRequest) -> tuple[_PrimePlan, ...]:
-    plans = []
-    for i in range(1, req.truncation + 1):
-        p = prime_at(i)
-        params = req.sigma.kernel_params(i, req.b)
-        start = req.x.component(p)
-        alpha_f = req.alpha.factor(p)
-        v_term = req.v.component(p)
-        fns = (alpha_f, v_term[1]) if v_term is not None else (alpha_f,)
-        for f in fns:
-            require_resolved(f, start)
-        if start is None:
-            start = PAdicScalar.zero(p)
-        r_min = resolution_for(*fns)
-        if v_term is not None:
-            # event paths are tested against every ball, so whether a membership
-            # is decidable must not depend on where the draws land; a
-            # potential's balls are canonical, so their centres are known already
-            _require_known_to(start, r_min, "start")
-            for ball, _ in alpha_f.terms:
-                _require_known_to(ball.center, ball.radius_exp, "ball centre")
-        plan = _PrimePlan(i - 1, params, start, alpha_f, v_term, r_min, None)
-        plans.append(plan if v_term is not None or plan.folds
-                     else replace(plan, law=increment_law(params, req.t)))
-    return tuple(plans)
-
 
 def _require_known_to(x: PAdicScalar, radius_exp: int, what: str) -> None:
     if x.known_mod_exp() < -radius_exp:
@@ -278,28 +245,48 @@ def _require_known_to(x: PAdicScalar, radius_exp: int, what: str) -> None:
 def _compile_exact(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
     """(exact factor of the folded primes, plans of the sampled ones).
 
-    Vacuum factors convolve to reals, so the folded factor is real.  Each
-    event plan carries the exact means of its controls, from the rates its
-    event paths are drawn with: F_p = E f_p(X_t) and a_p = E A_p, with
+    A prime with no potential and a vacuum factor folds: vacuum factors
+    convolve to reals, so the folded factor is real.  Any other prime
+    without a potential gets its increment law at t.  An event plan carries
+    the exact means of its controls, from the rates its event paths are
+    drawn with: F_p = E f_p(X_t) and a_p = E A_p, with
     A_p = tau int_0^t Re v_p(X_s) ds.
     """
-    folded, sampled = 1.0, []
-    for plan in _compile_plans(req):
-        if plan.folds:
-            xc = req.x.component(plan.params.p)
-            folded *= _factor_convolution(plan.params, req.t, plan.alpha_f, xc).real
-        elif plan.v_term is not None:  # event paths
-            # imported here: only a potential needs it, and each fk command pays
-            # for every import in a fresh process
-            from .lumped import event_means
+    folded, plans = 1.0, []
+    for i in range(1, req.truncation + 1):
+        p = prime_at(i)
+        params = req.sigma.kernel_params(i, req.b)
+        start = req.x.component(p)
+        alpha_f = req.alpha.factor(p)
+        v_term = req.v.component(p)
+        if v_term is None and alpha_f.is_vacuum():
+            folded *= _factor_convolution(params, req.t, alpha_f, start).real
+            continue
+        fns = (alpha_f, v_term[1]) if v_term is not None else (alpha_f,)
+        for f in fns:
+            require_resolved(f, start)
+        if start is None:
+            start = PAdicScalar.zero(p)
+        r_min = resolution_for(*fns)
+        if v_term is None:
+            plans.append(_PrimePlan(i - 1, params, start, alpha_f, None, r_min,
+                                    increment_law(params, req.t)))
+            continue
+        # event paths are tested against every ball, so whether a membership
+        # is decidable must not depend on where the draws land; a
+        # potential's balls are canonical, so their centres are known already
+        _require_known_to(start, r_min, "start")
+        for ball, _ in alpha_f.terms:
+            _require_known_to(ball.center, ball.radius_exp, "ball centre")
+        # imported here: only a potential needs it, and each fk command pays
+        # for every import in a fresh process
+        from .lumped import event_means
 
-            tau, f = plan.v_term
-            free, occupation = event_means(plan.params, req.t, plan.start, plan.r_min,
-                                           plan.alpha_f.terms, f.terms)
-            sampled.append(replace(plan, control=(free, tau * occupation)))
-        else:
-            sampled.append(plan)
-    return folded, tuple(sampled)
+        tau, f = v_term
+        free, occupation = event_means(params, req.t, start, r_min, alpha_f.terms, f.terms)
+        plans.append(_PrimePlan(i - 1, params, start, alpha_f, v_term, r_min, None,
+                                control=(free, tau * occupation)))
+    return folded, tuple(plans)
 
 
 def _compile_kernel(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
@@ -567,112 +554,3 @@ def fk_kernel(req: FKRequest) -> FKEstimate:
     dens, plans = _compile_kernel(req)
     mean, se = _weighted_mean_se(req, plans)
     return _estimate(req, dens, mean, se, density_factor=dens, bridge_factor=mean.real)
-
-
-# -- semigroup and generator checks ------------------------------------------
-
-
-@dataclass(frozen=True)
-class SemigroupReport:
-    s: float
-    t: float
-    direct: float
-    composed: float
-    combined_se: float
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.direct - self.composed)
-
-    def within(self, k: float = 3.0) -> bool:
-        return self.discrepancy <= k * self.combined_se or math.isclose(
-            self.direct, self.composed, abs_tol=1e-10
-        )
-
-
-def semigroup_check_mc(sigma: SigmaSequence, b: float, s: float, t: float,
-                       alpha: SimpleAdelicSB, v: SimplePotential,
-                       x: AdelicPoint, N: int, n: int, seed: int) -> SemigroupReport:
-    """Nested Monte Carlo: pi_{s+t} alpha vs pi_s(pi_t alpha) at x.
-
-    Outer and inner sample counts are both ~sqrt(n) (balanced variance).
-    """
-    direct = fk_expectation(FKRequest(
-        sigma, b, s + t, x, alpha, v, n, N, seed=seed,
-    ))
-    n_out = max(2, int(math.sqrt(n)))
-    n_in = n_out
-    stream = RngStream(seed).child(777)
-    outer_vals = np.zeros(n_out)
-    plans = _compile_plans(FKRequest(sigma, b, s, x, alpha, v, 1, N, seed=seed))
-    for j in range(n_out):
-        action = 0.0
-        endpoint: dict[int, PAdicScalar] = {}
-        for plan in plans:
-            gen = stream.child(j, plan.slot).generator()
-            if plan.v_term is not None:
-                path = sample_event_path(plan.params, plan.start, s, plan.r_min, gen)
-                action += action_integral(path, v, s)
-                endpoint[plan.params.p] = path.end_position()
-            else:
-                inc = sample_increment(plan.params, s, gen, PRECISION)
-                endpoint[plan.params.p] = plan.start + inc
-        inner = fk_expectation(FKRequest(
-            sigma, b, t, AdelicPoint.of(endpoint), alpha, v, n_in, N,
-            seed=seed * 1_000_003 + j + 1,
-        ))
-        outer_vals[j] = math.exp(-action) * inner.value.real
-    composed = float(np.mean(outer_vals))
-    se_comp = float(np.std(outer_vals, ddof=1) / math.sqrt(n_out))
-    combined = math.hypot(direct.std_error, se_comp)
-    return SemigroupReport(s, t, direct.value.real, composed, combined)
-
-
-@dataclass(frozen=True)
-class GeneratorReport:
-    ts: tuple[float, ...]
-    finite_differences: tuple[float, ...]
-    target: float
-    errors: tuple[float, ...]
-    orders: tuple[float, ...]
-    mc_ses: tuple[float, ...]
-
-
-def generator_check(sigma: SigmaSequence, b: float, alpha: SimpleAdelicSB,
-                    v: SimplePotential, x: AdelicPoint, t_ladder,
-                    n_paths: int, N: int, seed: int) -> GeneratorReport:
-    """Finite differences (pi_t alpha - alpha)/t against -(D_A + V) alpha.
-
-    The free part is analytic; the potential damping correction is Monte
-    Carlo with paths shared between the damped and free estimators of
-    fk_expectation_pair, whose free factors at event-path primes are exact,
-    so only the damping carries noise there.  All quantities are truncated
-    at N primes consistently, so the observed convergence order is 1 for
-    the truncated system.
-    """
-    op_truncated = truncated_vladimirov_apply(sigma, b, alpha, x, N)[0].real
-    target = -op_truncated - v.value(x) * alpha.eval(x).real
-
-    fds, errs, ses = [], [], []
-    for k, t in enumerate(t_ladder):
-        free_val = free_propagate(sigma, b, t, alpha, x, N).value.real
-        if v.components:
-            req = FKRequest(sigma, b, t, x, alpha, v, n_paths, N, seed=seed + k)
-            damped, plain, corr_se = fk_expectation_pair(req)
-            correction = plain.value.real - damped.value.real
-            se = corr_se / t
-        else:
-            correction, se = 0.0, 0.0
-        pi_t = free_val - correction
-        fd = (pi_t - alpha.eval(x).real) / t
-        fds.append(fd)
-        errs.append(abs(fd - target))
-        ses.append(se)
-    orders = tuple(
-        math.log(errs[k] / errs[k + 1]) / math.log(t_ladder[k] / t_ladder[k + 1])
-        for k in range(len(errs) - 1)
-        if errs[k] > 0 and errs[k + 1] > 0
-    )
-    return GeneratorReport(
-        tuple(t_ladder), tuple(fds), target, tuple(errs), orders, tuple(ses)
-    )

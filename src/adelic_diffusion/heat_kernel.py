@@ -14,6 +14,7 @@ heuristics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -24,6 +25,7 @@ from .primes import is_prime
 
 _TINY = 1e-318
 _EXP_UNDERFLOW = 745.0
+_EXP_OVERFLOW = math.log(sys.float_info.max)
 VALUATION_GUARD = 2**20
 
 
@@ -51,7 +53,7 @@ SERIES_MAX_TERMS = 4096
 def _pow(p: int, x: float) -> float:
     """p**x with clamped over/underflow (exact limits 0 and inf)."""
     e = x * math.log(p)
-    if e > _EXP_UNDERFLOW:
+    if e > _EXP_OVERFLOW:
         return math.inf
     if e < -_EXP_UNDERFLOW:
         return 0.0
@@ -233,13 +235,6 @@ class RadialLaw:
             return self.masses[m - self.m_lo]
         return 0.0
 
-    def ball_cdf(self, m: int) -> float:
-        """Window-based mass of {|x| <= p^m}."""
-        if m < self.m_lo:
-            return self.bottom_mass
-        hi = min(m, self.m_hi)
-        return self.bottom_mass + float(np.sum(self.array[: hi - self.m_lo + 1]))
-
     def coverage(self) -> float:
         return float(np.sum(self.array))
 
@@ -253,12 +248,6 @@ class RadialLaw:
         u = gen.random(n) * c[-1]
         return np.searchsorted(c, u, side="right") + self.m_lo
 
-    def ball_probability(self, d_exp: int | None, r: int) -> float:
-        """P(Z in B_r(d)) for |d| = p^d_exp (None for d = 0), Z ~ this law."""
-        if d_exp is None or r >= d_exp:
-            return self.ball_cdf(r)
-        return self.mass(d_exp) * sphere_ball_share(self.p, r, d_exp)
-
 
 def radial_law(params: KernelParams, t: float,
                coverage: float = 1.0 - 1e-12) -> RadialLaw:
@@ -269,7 +258,8 @@ def radial_law(params: KernelParams, t: float,
     p, b = params.p, params.b
 
     rate = params.sigma * alpha(params) * t
-    m = max(0, int(math.ceil(math.log(max(rate / max(eps, _TINY), 1.0)) / (b * math.log(p)))))
+    log_ratio = math.log(max(rate, _TINY)) - math.log(max(eps, _TINY))  # rate / eps overflows
+    m = max(0, math.ceil(log_ratio / (b * math.log(p))))
     for _ in range(SERIES_MAX_TERMS):
         if 1.0 - ball_mass(params, t, m) <= eps:
             break

@@ -403,15 +403,6 @@ def sample_bridge(spec: BridgeSpec, epochs, rng,
     return PathSkeleton(params, times, values)
 
 
-def bridge_class_total(params: KernelParams, tau0: float, tau1: float,
-                       delta: int | None) -> float:
-    """Total mass of the midpoint class table the bridge samplers draw from;
-    equals density(tau0+tau1, delta) by Chapman-Kolmogorov, up to the mass
-    outside both increment laws' windows."""
-    _, cum = _bridge_classes(params, tau0, tau1, delta)
-    return float(cum[-1])
-
-
 # -- batched bridges in a p-adic window ---------------------------------------
 
 _NO_GAP = np.iinfo(np.int64).min  # |x1 - x0| exponent of equal endpoints

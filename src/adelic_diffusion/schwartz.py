@@ -277,12 +277,6 @@ class SimpleAdelicSB:
     def factor_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def sup_bound(self) -> float:
-        out = 1.0
-        for _, f in self.factors:
-            out *= max(f.sup_bound(), 0.0)
-        return out
-
     def eval(self, x: AdelicPoint) -> complex:
         """Pointwise value; unresolved components require vacuum factors."""
         primes = set(self.factor_primes()) | set(x.active_primes())

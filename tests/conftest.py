@@ -1,11 +1,15 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's series code paths: plain-Python
-loops over the defining formulas, so agreement is a real cross-check.
+loops over the defining formulas, so agreement is a real cross-check.  The
+semigroup and generator harnesses at the end are built on the estimators
+and check them against the paper's semigroup and generator identities.
 """
 
 import math
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 
@@ -98,8 +102,6 @@ def fine_skeleton_exit_landings(params, T, steps, n, seed):
     it with probability (p-2)/(p-1)).  Exact for any p, no digits needed.
     Returns the landing exponents of paths that exit the unit ball by T.
     """
-    import numpy as np
-
     from adelic_diffusion import RngStream, increment_law
 
     p = params.p
@@ -152,10 +154,29 @@ def adelic_ball_probability(sigma, b, t, balls, N):
     return free_interval(free_propagate(sigma, b, t, alpha, x, N))
 
 
+@dataclass(frozen=True)
+class SemigroupReport:
+    s: float
+    t: float
+    direct: float
+    composed: float
+    combined_se: float
+
+    @property
+    def discrepancy(self) -> float:
+        return abs(self.direct - self.composed)
+
+    def within(self, k: float = 3.0) -> bool:
+        return self.discrepancy <= k * self.combined_se or math.isclose(
+            self.direct, self.composed, abs_tol=1e-10
+        )
+
+
 def semigroup_compose_free(sigma, b, s, t, alpha, x, N):
     """Analytic composition check: kernel_{s+t} * alpha vs the two-step
     radial convolution, both exact; discrepancy should sit at rounding."""
-    from adelic_diffusion import SemigroupReport, free_propagate, radial_convolve, radial_law
+    from adelic_diffusion import free_propagate, radial_convolve, radial_law
+    from adelic_diffusion.heat_kernel import sphere_ball_share
     from adelic_diffusion.primes import prime_at
 
     direct = free_propagate(sigma, b, s + t, alpha, x, N).value.real
@@ -168,10 +189,121 @@ def semigroup_compose_free(sigma, b, s, t, alpha, x, N):
         xc = x.component(p)
         factor = 0.0
         for ball, coeff in alpha.factor(p).terms:
-            d_exp = None if xc is None else (xc - ball.center).abs_exp()
-            factor += coeff.real * law.ball_probability(d_exp, ball.radius_exp)
+            # P(Z in B_r(c - x)) for Z ~ law: the window mass of B_r(0) when
+            # |c - x| <= p^r, else the ball's share of the sphere |c - x|
+            r, d_exp = ball.radius_exp, None if xc is None else (xc - ball.center).abs_exp()
+            if d_exp is None or r >= d_exp:
+                prob = law.bottom_mass + sum(law.mass(m) for m in range(law.m_lo, r + 1))
+            else:
+                prob = law.mass(d_exp) * sphere_ball_share(p, r, d_exp)
+            factor += coeff.real * prob
         composed *= factor
     return SemigroupReport(s, t, direct, composed, 0.0)
+
+
+def semigroup_check_mc(sigma, b, s, t, alpha, v, x, N, n, seed):
+    """Nested Monte Carlo: pi_{s+t} alpha vs pi_s(pi_t alpha) at x.
+
+    Outer and inner sample counts are both ~sqrt(n) (balanced variance).
+    Outer path j draws prime i from stream (seed, 777, j, i - 1): an event
+    path where the potential has a term, one increment elsewhere.
+    """
+    from adelic_diffusion import (
+        AdelicPoint,
+        FKRequest,
+        PAdicScalar,
+        RngStream,
+        action_integral,
+        fk_expectation,
+        resolution_for,
+        sample_event_path,
+        sample_increment,
+    )
+    from adelic_diffusion.feynman_kac import PRECISION
+    from adelic_diffusion.primes import prime_at
+
+    direct = fk_expectation(FKRequest(sigma, b, s + t, x, alpha, v, n, N, seed=seed))
+    n_out = max(2, int(math.sqrt(n)))
+    n_in = n_out
+    stream = RngStream(seed).child(777)
+    outer_vals = np.zeros(n_out)
+    for j in range(n_out):
+        action = 0.0
+        endpoint = {}
+        for i in range(1, N + 1):
+            p = prime_at(i)
+            params = sigma.kernel_params(i, b)
+            start = x.component(p)
+            if start is None:
+                start = PAdicScalar.zero(p)
+            gen = stream.child(j, i - 1).generator()
+            if (v_term := v.component(p)) is not None:
+                r_min = resolution_for(alpha.factor(p), v_term[1])
+                path = sample_event_path(params, start, s, r_min, gen)
+                action += action_integral(path, v, s)
+                endpoint[p] = path.end_position()
+            else:
+                endpoint[p] = start + sample_increment(params, s, gen, PRECISION)
+        inner = fk_expectation(FKRequest(
+            sigma, b, t, AdelicPoint.of(endpoint), alpha, v, n_in, N,
+            seed=seed * 1_000_003 + j + 1,
+        ))
+        outer_vals[j] = math.exp(-action) * inner.value.real
+    composed = float(np.mean(outer_vals))
+    se_comp = float(np.std(outer_vals, ddof=1) / math.sqrt(n_out))
+    combined = math.hypot(direct.std_error, se_comp)
+    return SemigroupReport(s, t, direct.value.real, composed, combined)
+
+
+@dataclass(frozen=True)
+class GeneratorReport:
+    ts: tuple[float, ...]
+    finite_differences: tuple[float, ...]
+    target: float
+    errors: tuple[float, ...]
+    orders: tuple[float, ...]
+    mc_ses: tuple[float, ...]
+
+
+def generator_check(sigma, b, alpha, v, x, t_ladder, n_paths, N, seed):
+    """Finite differences (pi_t alpha - alpha)/t against -(D_A + V) alpha.
+
+    The free part is analytic; the potential damping correction is Monte
+    Carlo with paths shared between the damped and free estimators of
+    fk_expectation_pair, whose free factors at event-path primes are exact,
+    so only the damping carries noise there.  All quantities are truncated
+    at N primes consistently, so the observed convergence order is 1 for
+    the truncated system.
+    """
+    from adelic_diffusion import FKRequest, fk_expectation_pair, free_propagate
+    from adelic_diffusion.schwartz import truncated_vladimirov_apply
+
+    op_truncated = truncated_vladimirov_apply(sigma, b, alpha, x, N)[0].real
+    target = -op_truncated - v.value(x) * alpha.eval(x).real
+
+    fds, errs, ses = [], [], []
+    for k, t in enumerate(t_ladder):
+        free_val = free_propagate(sigma, b, t, alpha, x, N).value.real
+        if v.components:
+            req = FKRequest(sigma, b, t, x, alpha, v, n_paths, N, seed=seed + k)
+            damped, plain, corr_se = fk_expectation_pair(req)
+            correction = plain.value.real - damped.value.real
+            se = corr_se / t
+        else:
+            correction, se = 0.0, 0.0
+        pi_t = free_val - correction
+        fd = (pi_t - alpha.eval(x).real) / t
+        fds.append(fd)
+        errs.append(abs(fd - target))
+        ses.append(se)
+    orders = tuple(
+        math.log(errs[k] / errs[k + 1]) / math.log(t_ladder[k] / t_ladder[k + 1])
+        for k in range(len(errs) - 1)
+        if errs[k] > 0 and errs[k + 1] > 0
+    )
+    return GeneratorReport(
+        tuple(t_ladder), tuple(fds), target, tuple(errs), orders, tuple(ses)
+    )
 
 
 def occupation_series(params, t, start, terms):

@@ -37,7 +37,6 @@ from adelic_diffusion import (
     fk_expectation,
     fk_kernel,
     free_propagate,
-    generator_check,
     increment_law,
     overshoot_law,
     radial_convolve,
@@ -50,6 +49,7 @@ from adelic_diffusion.cli import main as cli_main
 from conftest import (
     adelic_ball_probability,
     fine_skeleton_exit_landings,
+    generator_check,
     norm_sq_quadrature,
     trapezoid_action,
 )

@@ -20,10 +20,11 @@ from adelic_diffusion import (
     exit_count_pmf,
     exit_count_samples,
     exit_prob,
-    sample_adelic_path,
     sample_event_path,
+    sup_norm_exceeds,
     tail_certificate,
 )
+from adelic_diffusion.primes import prime_at
 
 from conftest import adelic_ball_probability
 
@@ -53,6 +54,13 @@ class TestSigmaSequence:
         with pytest.raises(ConfigError):
             s.sigma(3)
 
+    def test_negative_truncation_rejected(self):
+        # a negative N would index the suffix tables from their end
+        with pytest.raises(ConfigError, match="truncation N must be nonnegative"):
+            SIG.sigma_tail_upper(-1)
+        with pytest.raises(ConfigError, match="truncation N must be nonnegative"):
+            SIG.beta_tail_upper(-1, B)
+
 
 class TestChooseTruncation:
     def test_loose_eps_needs_nothing(self):
@@ -76,26 +84,27 @@ class TestChooseTruncation:
         )
 
 
+def _event_paths(sigma, N, stream):
+    """Event paths at resolution 0 on [0, 1] from 0 at primes 1..N, prime i
+    drawn from stream.child(i)."""
+    return {prime_at(i): sample_event_path(sigma.kernel_params(i, B), PAdicScalar.zero(prime_at(i)),
+                                           1.0, 0, stream.child(i))
+            for i in range(1, N + 1)}
+
+
+def _exit_count(paths) -> int:
+    """How many of the paths left Z_p by the horizon."""
+    return sum(sup_norm_exceeds(path, 0) for path in paths.values())
+
+
 class TestBundles:
-    def test_marginals_reuse_single_prime_streams(self):
-        stream = RngStream(500)
-        bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), 3, stream,
-                                    resolution=0)
-        for i, (p, path) in enumerate(bundle.components, start=1):
-            params = SIG.kernel_params(i, B)
-            solo = sample_event_path(params, PAdicScalar.zero(p), 1.0, 0,
-                                     stream.child(i))
-            assert path == solo
+    """Independent per-prime event paths, the product an adelic path is made of."""
 
     def test_joint_stay_probability(self):
         n = 4000
         N = 4
-        stay = 0
-        for j in range(n):
-            bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), N,
-                                        RngStream(501).child(j), resolution=0)
-            if bundle.exit_count() == 0:
-                stay += 1
+        stay = sum(_exit_count(_event_paths(SIG, N, RngStream(501).child(j))) == 0
+                   for j in range(n))
         analytic = 1.0
         for i in range(1, N + 1):
             analytic *= exit_prob(SIG.kernel_params(i, B), 1.0, 0)
@@ -107,28 +116,11 @@ class TestBundles:
         a = np.zeros(n)
         c = np.zeros(n)
         for j in range(n):
-            bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), 2,
-                                        RngStream(502).child(j), resolution=0)
-            flags = {
-                p: bool(path.events) for p, path in bundle.components
-            }
-            a[j], c[j] = flags[2], flags[3]
+            paths = _event_paths(SIG, 2, RngStream(502).child(j))
+            a[j], c[j] = bool(paths[2].events), bool(paths[3].events)
         cov = float(np.mean(a * c) - np.mean(a) * np.mean(c))
         se = 0.25 / math.sqrt(n)
         assert abs(cov) <= 3 * se
-
-    def test_certificate_attached(self):
-        bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), 5,
-                                    RngStream(503), resolution=0)
-        assert bundle.tail_certificate == pytest.approx(
-            math.exp(-SIG.beta_tail_upper(5, B)), rel=1e-12
-        )
-        assert 0 < bundle.tail_certificate <= 1
-
-    def test_truncation_must_cover_actives(self):
-        x = AdelicPoint.of({5: PAdicScalar.from_int(1, 5)})
-        with pytest.raises(ConfigError):
-            sample_adelic_path(SIG, B, 1.0, x, 2, RngStream(1), resolution=0)
 
 
 class TestAdelicBallProbability:
@@ -146,12 +138,8 @@ class TestAdelicBallProbability:
         balls = {2: Ball(PAdicScalar.zero(2), 0), 3: Ball(PAdicScalar.zero(3), 0)}
         lo, hi = adelic_ball_probability(SIG, B, 1.0, balls, 2)
         n = 4000
-        inside = 0
-        for j in range(n):
-            bundle = sample_adelic_path(SIG, B, 1.0, AdelicPoint.zero(), 2,
-                                        RngStream(504).child(j), resolution=0)
-            if bundle.exit_count() == 0:
-                inside += 1
+        inside = sum(_exit_count(_event_paths(SIG, 2, RngStream(504).child(j))) == 0
+                     for j in range(n))
         # staying in Z_p for the whole horizon implies X_t in Z_p
         freq = inside / n
         se = math.sqrt(freq * (1 - freq) / n)
@@ -221,13 +209,11 @@ class TestExitCount:
         assert tv < 0.02
 
     def test_sampler_reduction_consistency(self):
-        # vectorized exit counts agree in law with honest bundle counts
+        # vectorized exit counts agree in law with counts over honest event paths
         honest = np.zeros(9, dtype=float)
         n = 2500
         for j in range(n):
-            bundle = sample_adelic_path(ZERO_TAIL_50, B, 1.0, AdelicPoint.zero(), 15,
-                                        RngStream(506).child(j), resolution=0)
-            honest[min(bundle.exit_count(), 8)] += 1
+            honest[min(_exit_count(_event_paths(ZERO_TAIL_50, 15, RngStream(506).child(j))), 8)] += 1
         honest /= n
         fast = np.bincount(
             exit_count_samples(ZERO_TAIL_50, B, 1.0, 15, 30_000, seed=507),
@@ -235,6 +221,17 @@ class TestExitCount:
         )[:9] / 30_000
         tv = 0.5 * float(np.sum(np.abs(honest - fast)))
         assert tv < 0.03
+
+    @pytest.mark.parametrize("b, T, N, message", [
+        (1.0, -1.0, 5, "T must be nonnegative"),
+        (0.0, 1.0, 5, "exponent b must be positive"),
+        (1.0, 1.0, -1, "truncation N must be nonnegative"),
+    ])
+    def test_bad_horizon_exponent_or_truncation_rejected(self, b, T, N, message):
+        with pytest.raises(ConfigError, match=message):
+            exit_count_pmf(SIG, b, T, N, 5)
+        with pytest.raises(ConfigError, match=message):
+            exit_count_samples(SIG, b, T, N, 10, seed=1)
 
     def test_interval_bounds_cover_tail(self):
         dist = exit_count_pmf(SIG, B, 1.0, 8, 5)

@@ -47,6 +47,14 @@ class TestDensity:
         res = runner.invoke(main, ["density", "-p", "9", "-o", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("t", ["1e-300", "1e300"])
+    def test_extreme_time_runs(self, runner, tmp_path, t):
+        # p^m past the largest float reads inf, and rate / eps is not formed
+        out = tmp_path / "d.csv"
+        res = runner.invoke(main, ["density", "--t", t, "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert read_csv(out)[-1][1] == "TOTAL"
+
 
 class TestExit:
     def test_analytic_vs_mc(self, runner, tmp_path):
@@ -350,6 +358,18 @@ class TestExitCodes:
     def test_operator_input_exits_two_before_any_row(self, runner, tmp_path, args, message):
         out = tmp_path / "op.csv"
         res = runner.invoke(main, ["operator", *args, "-o", str(out)])
+        assert res.exit_code == 2
+        assert f"config error: {message}" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["-T", "-1"], "T must be nonnegative"),
+        (["--b", "0"], "exponent b must be positive"),
+        (["-N", "-1"], "truncation N must be nonnegative"),
+    ])
+    def test_exit_count_input_exits_two_before_any_row(self, runner, tmp_path, args, message):
+        out = tmp_path / "c.csv"
+        res = runner.invoke(main, ["exit-count", *args, "-o", str(out)])
         assert res.exit_code == 2
         assert f"config error: {message}" in res.output
         assert not out.exists()

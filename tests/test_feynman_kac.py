@@ -32,13 +32,16 @@ from adelic_diffusion import (
     fk_expectation_pair,
     fk_kernel,
     free_propagate,
-    generator_check,
     sample_event_path,
-    semigroup_check_mc,
 )
 from adelic_diffusion.primes import prime_at
 
-from conftest import occupation_series, semigroup_compose_free
+from conftest import (
+    generator_check,
+    occupation_series,
+    semigroup_check_mc,
+    semigroup_compose_free,
+)
 
 SIG = SigmaSequence.inverse_square()
 KP2 = KernelParams(2, 1.0, SIG.sigma(1))
@@ -125,10 +128,10 @@ class TestFkExpectation:
         assert len(run_chunks_calls) == len(cases)
 
     def test_collision_sphere_takes_haar_share(self):
-        from adelic_diffusion.feynman_kac import _compile_plans, _endpoint_factor
+        from adelic_diffusion.feynman_kac import _compile_exact, _endpoint_factor
 
         req = FKRequest(SIG, B, 1.5, X3, ON_SPHERE3, V0, 1, 2, seed=1)
-        plan, = [plan for plan in _compile_plans(req) if not plan.folds]
+        _, (plan,) = _compile_exact(req)
         values = _endpoint_factor(plan, RngStream(731).generator(), 20_000)
         m = plan.law.sample_exponents(RngStream(731).generator(), 20_000)
         # the balls are unions of classes mod 9: average over the six unit classes
@@ -267,6 +270,11 @@ class TestFkExpectation:
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             FKRequest(SIG, B, 1.0, AdelicPoint.zero(), OM, V0, 10, 2, seed=1, workers=0)
+
+    def test_truncation_must_cover_actives(self):
+        x = AdelicPoint.of({5: PAdicScalar.from_int(1, 5)})
+        with pytest.raises(ConfigError, match="truncation must cover"):
+            FKRequest(SIG, B, 1.0, x, OM, V0, 10, 2, seed=1)
 
     def test_bridge_steps_below_two_rejected(self):
         # one step leaves no interior epoch: a deterministic trapezoid with SE 0

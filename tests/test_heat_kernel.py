@@ -198,3 +198,13 @@ class TestDensityCenter:
         assert density_center(KP, 1.0) == pytest.approx(
             density(KP, 1.0, -40), rel=1e-12
         )
+
+
+class TestPow:
+    def test_clamps_at_both_float_limits(self):
+        # 2^1030 = e^714 lies past the largest float, e^709.78, and below the
+        # underflow clamp at e^745; 2^-1080 lies below the smallest subnormal
+        assert heat_kernel._pow(2, 1030) == math.inf
+        assert heat_kernel._pow(2, 1023) == pytest.approx(2.0 ** 1023, rel=1e-13)
+        assert heat_kernel._pow(2, -1080) == 0.0
+        assert heat_kernel._pow(2, -1070) > 0.0

@@ -31,8 +31,8 @@ from adelic_diffusion import (
 from adelic_diffusion.feynman_kac import _bridge_action, _path_action
 from adelic_diffusion.padic import Ball, _normalised
 from adelic_diffusion.sampler import (
+    _bridge_classes,
     _bridge_tree,
-    bridge_class_total,
     event_path_sums,
     sample_bridges,
     skeleton_stays,
@@ -311,7 +311,7 @@ class TestBridge:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_class_total_is_chapman_kolmogorov_density(self, p, b, tau0, tau1, delta):
         kp = KernelParams(p, b, 1.0)
-        total = bridge_class_total(kp, tau0, tau1, delta)
+        total = _bridge_classes(kp, tau0, tau1, delta)[1][-1]
         t = tau0 + tau1
         direct = density(kp, t, delta) if delta is not None else density_center(kp, t)
         assert total == pytest.approx(direct, rel=1e-10)
@@ -319,7 +319,7 @@ class TestBridge:
     def test_class_total_equals_chapman_kolmogorov(self):
         for kp in (KP, KernelParams(3, 0.5, 0.7)):
             for delta in (None, 0, 1, 2, -3):
-                total = bridge_class_total(kp, 0.4, 0.6, delta)
+                total = _bridge_classes(kp, 0.4, 0.6, delta)[1][-1]
                 direct = (
                     density(kp, 1.0, delta) if delta is not None else density_center(kp, 1.0)
                 )
@@ -332,7 +332,7 @@ class TestBridge:
         assert sk.values[0] == ZERO and sk.values[-1] == y
 
     def test_concentration_near_terminal_time(self):
-        from adelic_diffusion.sampler import _bridge_classes, _AROUND_X1
+        from adelic_diffusion.sampler import _AROUND_X1
 
         y = PAdicScalar.from_int(1, 2, 24)
         s = 1.0 - 1e-6
@@ -346,8 +346,6 @@ class TestBridge:
         assert near / total > 0.99
 
     def test_time_reversal_symmetry_equal_endpoints(self):
-        from adelic_diffusion.sampler import _bridge_classes
-
         l1, c1 = _bridge_classes(KP, 0.3, 0.7, None)
         l2, c2 = _bridge_classes(KP, 0.7, 0.3, None)
         np.testing.assert_array_equal(l1, l2)
@@ -395,7 +393,7 @@ class TestBridge:
 
     def test_equal_sphere_rejection_is_capped(self):
         from adelic_diffusion.sampler import (
-            MAX_EQUAL_SPHERE_TRIES, _EQUAL_SPHERES, _bridge_classes, _bridge_point,
+            MAX_EQUAL_SPHERE_TRIES, _EQUAL_SPHERES, _bridge_point,
         )
 
         kp3 = KernelParams(3, 1.0, 1.0)
@@ -526,9 +524,7 @@ class TestBridgeEngine:
             sample_bridges(BridgeSpec(KP, 1e-3, ZERO, far), 2, 4, RngStream(12_203), 24)
 
     def test_equal_sphere_rejection_is_capped(self):
-        from adelic_diffusion.sampler import (
-            MAX_EQUAL_SPHERE_TRIES, _EQUAL_SPHERES, _bridge_classes,
-        )
+        from adelic_diffusion.sampler import MAX_EQUAL_SPHERE_TRIES, _EQUAL_SPHERES
 
         kp3 = KernelParams(3, 1.0, 1.0)
         x1 = PAdicScalar.from_int(1, 3, 8)
