@@ -62,12 +62,10 @@ from .padic import (
 from .rng import RngStream
 from .sampler import (
     BridgeSpec,
-    BridgeWindow,
     EventPath,
     PathSkeleton,
     increment_law,
     sample_bridge,
-    sample_bridges,
     sample_event_path,
     sample_increment,
     sample_skeleton,

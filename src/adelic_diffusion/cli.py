@@ -9,8 +9,8 @@ run can be reproduced bit-exactly from its manifest.
 Flags and config keys are one namespace: a flag is stored under its key
 on top of the config (-T is "T", -N "truncation", --n-paths "n_paths",
 --k-max "k_max", --full "full", --inject-alpha-bug "inject_alpha_bug").
-A few keys have no flag: bridge_steps (fk), the sigma_* keys (fk and
-exit-count) and epochs (sample).  A key the command does not read is a
+A few keys have no flag: the sigma_* keys (fk and exit-count) and epochs
+(sample).  A key the command does not read is a
 config error.  Only exit, sample, exit-count and fk draw random numbers, so
 only they take --seed.  fk's kernel mode (--endpoint) takes no observable.
 
@@ -435,7 +435,7 @@ def operator_cmd(cfg, write):
           click.option("--endpoint", type=click.Path(exists=True), default=None,
                        help="kernel mode: estimate K_t(x, y) for this y"),
           click.option("--workers", type=int, default=None),
-          config_keys=("bridge_steps", *_SIGMA_KEYS))
+          config_keys=_SIGMA_KEYS)
 def fk_cmd(cfg, write):
     """Feynman-Kac expectation (and kernels, with --endpoint)."""
     sigma = _sigma_from_config(cfg)
@@ -452,8 +452,7 @@ def fk_cmd(cfg, write):
 
     N = cfg.need("truncation", int, max(4, _min_truncation(x, y, alpha_f, pot)))
     req = FKRequest(sigma, bb, tt, x, alpha_f, pot, n, N, seed=sd, y=y,
-                    workers=cfg.need("workers", int, 1),
-                    bridge_steps=cfg.need("bridge_steps", int, 128))
+                    workers=cfg.need("workers", int, 1))
     rows = []
     try:
         if y is None:

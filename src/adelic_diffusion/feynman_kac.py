@@ -21,11 +21,9 @@ independent per-prime means, with the plug-in SE of that product:
   W - g_p (P - F_p) + g_p F_p (A_p - a_p) with g_p = e^{-a_p}, and keeps
   neither P nor A_p;
 * kernel mode: the analytic endpoint density is the factor, and each prime
-  with a potential draws bridges.  `sample_bridges` fills every path of a
-  batch together in a p-adic integer window, and the action is a
-  time-symmetric trapezoid over its ball memberships, so kernel estimates
-  are exactly reversal-symmetric in law.  `sample_bridge`, one path of
-  `PAdicScalar`s, is the digit-exact oracle it is tested against.
+  with a potential draws event-chain bridges at its scale, with no time grid
+  (`sampler.bridge_law`); each path's e^{-A} is averaged over its holding
+  times in closed form (`lumped.dirichlet_average`), so its factor is exact.
 
 Paths are assigned to fixed-size chunks keyed by (seed, chunk index), so
 results are bit-identical for any worker count.
@@ -55,18 +53,19 @@ from .heat_kernel import (
     density_center,
     sphere_ball_share,
 )
+from .lumped import dirichlet_average, event_means
 from .padic import PAdicScalar
 from .padic import uniform_sphere  # noqa: F401  unused here; perfbench/layers.py patches this name
 from .primes import prime_at, prime_index
 from .rng import RngStream
 from .sampler import (
-    BridgeSpec,
-    BridgeWindow,
+    EventBridge,
     EventPath,
+    event_bridge,
+    event_bridge_visits,
     event_path_sums,
     increment_law,
     sample_bridge,  # noqa: F401  unused here; perfbench/layers.py patches this name
-    sample_bridges,
     sample_event_path,  # noqa: F401  unused here; perfbench/layers.py patches this name
 )
 from .schwartz import (
@@ -79,15 +78,12 @@ from .schwartz import (
 )
 
 DEFAULT_CHUNK = 4096
-# Bridges sampled together; bounds the window integers a chunk holds at once.
-BRIDGE_BATCH = 256
-# p-adic digits kept in bridge jumps, counting the leading one.
-PRECISION = 24
 
 
 @dataclass(frozen=True)
 class FKRequest:
-    """One estimation task; the seed pins every random draw."""
+    """One estimation task; the seed pins every random draw.  bridge_steps is
+    checked but no longer read: kernel mode has no time grid."""
 
     sigma: SigmaSequence
     b: float
@@ -232,7 +228,7 @@ class _PrimePlan:
     v_term: tuple[float, SBFunction] | None
     r_min: int
     law: RadialLaw | None  # increment law at t; None where nothing is sampled from it
-    spec: BridgeSpec | None = None  # kernel mode: the bridge drawn at this prime
+    bridge: EventBridge | None = None  # kernel mode: the bridge drawn at this prime
     control: tuple[complex, float] | None = None  # event paths: (F_p, a_p), see _chunk
 
 
@@ -278,10 +274,6 @@ def _compile_exact(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
         _require_known_to(start, r_min, "start")
         for ball, _ in alpha_f.terms:
             _require_known_to(ball.center, ball.radius_exp, "ball centre")
-        # imported here: only a potential needs it, and each fk command pays
-        # for every import in a fresh process
-        from .lumped import event_means
-
         tau, f = v_term
         free, occupation = event_means(params, req.t, start, r_min, alpha_f.terms, f.terms)
         plans.append(_PrimePlan(i - 1, params, start, alpha_f, v_term, r_min, None,
@@ -316,10 +308,24 @@ def _compile_kernel(req: FKRequest) -> tuple[float, tuple[_PrimePlan, ...]]:
             require_resolved(v_term[1], req.y.component(p))
             xc = req.x.component(p) or PAdicScalar.zero(p)
             yc = req.y.component(p) or PAdicScalar.zero(p)
+            tau, f = v_term
             plans.append(_PrimePlan(req.v.component_primes().index(p), params, xc,
-                                    req.alpha.factor(p), v_term, resolution_for(v_term[1]),
-                                    None, BridgeSpec(params, req.t, xc, yc)))
+                                    req.alpha.factor(p), v_term, resolution_for(f), None,
+                                    bridge=event_bridge(params, req.t, xc, yc, tau, f.terms)))
     return dens, tuple(sorted(plans, key=lambda plan: plan.slot))
+
+
+def _bridge_column(bridge: EventBridge, gen: np.random.Generator, count: int) -> np.ndarray:
+    """Each path's share e^{v(x)} + (1 - share) E[e^{-A} | jumps, visits], a convex
+    combination of values in [e^{min v}, e^{max v}], held there against rounding."""
+    v = bridge.values
+    rows, inverse = np.unique(event_bridge_visits(bridge, gen, count), axis=0,
+                              return_inverse=True)
+    averages = np.array([dirichlet_average(tuple((z, k) for z, k in zip(v, row.tolist()) if k))
+                         for row in rows])
+    share = bridge.law.share
+    values = share * math.exp(bridge.home) + (1.0 - share) * averages[inverse.ravel()]
+    return np.clip(values, math.exp(min(v)), math.exp(max(v)))
 
 
 def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -343,19 +349,9 @@ def _endpoint_factor(plan: _PrimePlan, gen: np.random.Generator, count: int) -> 
     return values
 
 
-def _bridge_action(paths: BridgeWindow, tau: float, f: SBFunction) -> np.ndarray:
-    """tau * int_0^t f(X_s) ds per path, by the trapezoid rule over the bridge
-    grid (invariant under time reversal), from window ball memberships."""
-    vals = np.zeros(paths.offsets.shape)
-    for ball, coeff in f.terms:
-        vals += coeff.real * paths.in_ball(ball)
-    dt = np.diff(paths.times)
-    return tau * ((vals[:, :-1] + vals[:, 1:]) * (0.5 * dt)).sum(axis=1)
-
-
 def _generator(req: FKRequest, plan: _PrimePlan, chunk_idx: int) -> np.random.Generator:
     # a leading 0 keys bridge streams apart from exact-mode ones; seeded kernel files rely on it
-    key = (chunk_idx, plan.slot) if plan.spec is None else (0, chunk_idx, plan.slot)
+    key = (chunk_idx, plan.slot) if plan.bridge is None else (0, chunk_idx, plan.slot)
     return RngStream(req.seed).child(*key).generator()
 
 
@@ -385,19 +381,14 @@ def _raw_event_draws(req: FKRequest, plan: _PrimePlan) -> tuple[np.ndarray, np.n
 
 def _chunk(req: FKRequest, plans, chunk_idx: int, count: int) -> np.ndarray:
     """Per-prime columns, shape (count, len(plans)): f_p e^{-A_p} for each plan
-    (f_p = 1 on bridges, A_p = 0 at endpoint primes), and at an event-path
-    prime, whose P = f_p(X_t) and A_p have exact means F_p and a_p, the
-    controlled W - g_p (P - F_p) + g_p F_p (A_p - a_p), W = P e^{-A_p}."""
+    (on a bridge, its exact factor; A_p = 0 at endpoint primes), and at an
+    event-path prime, whose P = f_p(X_t) and A_p have exact means F_p and a_p,
+    the controlled W - g_p (P - F_p) + g_p F_p (A_p - a_p), W = P e^{-A_p}."""
     out = np.empty((count, len(plans)), dtype=complex)
     for col, plan in enumerate(plans):
         gen = _generator(req, plan, chunk_idx)
-        if plan.spec is not None:
-            tau, f = plan.v_term
-            cover = tuple(ball for ball, _ in f.terms)
-            for lo in range(0, count, BRIDGE_BATCH):
-                n = min(BRIDGE_BATCH, count - lo)
-                paths = sample_bridges(plan.spec, req.bridge_steps, n, gen, PRECISION, cover=cover)
-                out[lo:lo + n, col] = np.exp(-_bridge_action(paths, tau, f))
+        if plan.bridge is not None:
+            out[:, col] = _bridge_column(plan.bridge, gen, count)
         elif plan.v_term is None:
             out[:, col] = _endpoint_factor(plan, gen, count)
         else:
@@ -548,8 +539,8 @@ def fk_kernel(req: FKRequest) -> FKEstimate:
     bridge expectation carries Monte Carlo error, and without a potential
     the estimate is exact, SE 0.  For a simple potential the bridge measure
     is a product over primes, each prime drawing from its own stream, so the
-    bridge factor is the product of the per-prime means.  The trapezoid
-    action makes the estimator's law invariant under swapping x and y.
+    bridge factor is the product of the per-prime means, each of an exact
+    per-path factor (see _bridge_column).
     """
     dens, plans = _compile_kernel(req)
     mean, se = _weighted_mean_se(req, plans)

@@ -80,18 +80,18 @@ def alpha_pb(p: int, b: float) -> float:
 
 def _series_down(params: KernelParams, t: float, r_start: int,
                  weight_exp_shift: float) -> float:
-    """sum_{r <= r_start} p^{r + shift} (E(r) - E(r+1)) with rigorous tail cut."""
+    """sum_{r <= r_start} p^{r + shift} (E(r) - E(r+1)), cut by a tail bound in logs."""
     p, b, sigma = params.p, params.b, params.sigma
     ratio = _pow(p, -(b + 1.0))
-    tail_coeff = sigma * t * (_pow(p, b) - 1.0) / (1.0 - ratio)
+    log_coeff = math.log(sigma) + math.log(t) + math.log((_pow(p, b) - 1.0) / (1.0 - ratio))
     total = 0.0
     e_next = _decay(params, t, r_start + 1)
     r = r_start
     for _ in range(SERIES_MAX_TERMS):
         e_cur = _decay(params, t, r)
         total += (e_cur - e_next) * _pow(p, r + weight_exp_shift)
-        tail = tail_coeff * _pow(p, (r - 1) * (b + 1.0) + weight_exp_shift)
-        if tail <= max(SERIES_REL_TOL * total, _TINY):
+        log_tail = log_coeff + ((r - 1) * (b + 1.0) + weight_exp_shift) * math.log(p)
+        if log_tail <= math.log(max(SERIES_REL_TOL * total, _TINY)):
             return total
         e_next = e_cur
         r -= 1
@@ -147,9 +147,14 @@ def ball_mass(params: KernelParams, t: float, nu: int) -> float:
 
 
 def sphere_mass(params: KernelParams, t: float, m: int) -> float:
-    """Mass of the sphere {|x| = p^m}: density(t, m) * p^m (1 - 1/p)."""
+    """Mass of the sphere {|x| = p^m}: density(t, m) * p^m (1 - 1/p), or, where
+    the density is subnormal or p^m overflows, its series with p^m inside."""
     mu = _pow(params.p, m) * (1.0 - 1.0 / params.p)
-    return density(params, t, m) * mu
+    rho = density(params, t, m)
+    if rho >= sys.float_info.min and mu < math.inf:
+        return rho * mu
+    r_start = min(-m, _r_all_terms(params, t))
+    return _series_down(params, t, r_start, float(m)) * (1.0 - 1.0 / params.p)
 
 
 def ball_kernel_mass(params: KernelParams, t: float, center_exp: int | None,

@@ -26,12 +26,17 @@ have nonnegative terms, and what follows a term is at most its weight times
 h(0) (x in B), or times that term's H (off B, as H falls in l), so a sum
 stops where that bound is below TAIL_TOL of it: no space is truncated, no
 matrix is formed, and any b > 0 works.
+
+One jump acts on the wavelet as 1 - mu_l/lam, so h(z) = (1 + z/lam)^n gives
+the chance that the n-th jump ends in B, which conditions kernel mode's bridges.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import TruncationError
 from .heat_kernel import SERIES_MAX_TERMS, KernelParams, exit_rate
@@ -105,3 +110,50 @@ def _phi2(y: float) -> float:
         if term == 0.0:
             break
     return total
+
+
+def return_probabilities(params: KernelParams, lam: float, r: int, classes: int,
+                         n_max: int) -> np.ndarray:
+    """h[n, i] = P(Y_n in B_r(c) | |Y_0 - c| = p^{r+i}) (i = 0: in B_r(c)) for the jump chain
+    Y at p^r: _ball_means's sums with (1 - mu_l/lam)^n for e^{-t mu_l}, to weights 2^-64."""
+    p, levels = params.p, classes + math.ceil(64 / math.log2(params.p))
+    a = np.array([wavelet_rate(params, lam, r, r + 1 + j) / lam for j in range(levels)])
+    n, j, i = np.arange(n_max + 1.0)[:, None], np.arange(levels), np.arange(1, classes)
+    log_e = n * np.log1p(-np.where(a < 1.0, a, 0.0))  # 1 - a < 0 on the first level
+    E = np.where(a < 1.0, np.exp(log_e), (1.0 - a) ** n)
+    H = np.where(a < 1.0, -np.expm1(log_e), 1.0 - E)
+    later = np.where(j[:, None] >= i, (p - 1.0) * float(p) ** (i - 1.0 - j[:, None]), 0.0)
+    # inside, the levels past the last add p^-levels; off B, p^-i (H_i - sum later H_l)
+    h = np.column_stack((E @ ((1.0 - 1.0 / p) * float(p) ** -j) + float(p) ** -levels,
+                         float(p) ** -i * (H[:, :classes - 1] - H @ later)))
+    return np.maximum(h, 0.0)  # h_1 vanishes inside: keep its rounding from going negative
+
+
+@lru_cache(maxsize=1 << 14)
+def dirichlet_average(nodes: tuple[tuple[float, int], ...]) -> float:
+    """E exp(sum_i z_i W_i) over nodes (z_i, k_i), W_i the sum of k_i parts of a flat
+    Dirichlet of n + 1 = sum k_i parts (Hermite-Genocchi; Carlson 1977): e^{z_min}
+    sum_k T_k, T_k = g_k / (n+1)_k, g_k = [u^k] prod_i (1 - c_i u)^{-k_i}, c_i = z_i - z_min,
+    so k g_k = sum_{j<=k} s_j g_{k-j}, s_j = sum_i k_i c_i^j.  0 < T_k <= c^k/k!, c = max
+    c_i, bounds the rest; the terms share a running scale e^scale, so any c works."""
+    z_min = min(z for z, _ in nodes)
+    if all(z == z_min for z, _ in nodes):
+        return math.exp(z_min)
+    n1, c = sum(k for _, k in nodes), max(nodes)[0] - z_min
+    ratios = [((z - z_min) / c, k) for z, k in nodes if z > z_min]
+    powers, sums = [float(k) for _, k in ratios], []
+    tails, total, scale = [c / n1], 1.0, 0.0  # c^{k-i} T_i / ((n+1+i) .. (n+k)), i < k
+    for k in range(1, SERIES_MAX_TERMS):
+        powers = [w * ratio for w, (ratio, _) in zip(powers, ratios)]
+        sums.append(math.fsum(powers))  # s_k / c^k
+        term = math.fsum(s * u for s, u in zip(reversed(sums), tails)) / k
+        total += term
+        if term > 1e150:
+            tails, total, term = [u * 1e-150 for u in tails], total * 1e-150, term * 1e-150
+            scale += math.log(1e150)
+        rest = ((k + 1) * math.log(c) - math.lgamma(k + 2) - math.log1p(-c / (k + 2))
+                if k + 2 > c else math.inf)
+        if rest <= math.log(TAIL_TOL * total) + scale:
+            return math.exp(z_min + scale + math.log(total))
+        tails = [u * c / (n1 + k) for u in tails] + [term * c / (n1 + k)]
+    raise TruncationError(f"Dirichlet average did not converge within {SERIES_MAX_TERMS} terms")

@@ -315,18 +315,6 @@ def uniform_ball(rng, p: int, ball: Ball, precision: int = DEFAULT_PRECISION) ->
     return ball.center + offset
 
 
-def window_int(x: PAdicScalar, coarse: int, width: int) -> int:
-    """x * p^coarse as an integer mod p^width, where every known digit of x
-    must lie in the window (valuations -coarse .. width - coarse - 1)."""
-    if x.is_zero():
-        return 0
-    shift = x.valuation + coarse
-    if shift < 0 or shift + x.precision > width:
-        raise ValueError(f"digits of {x!r} fall outside the window "
-                         f"(coarse end p^{coarse}, {width} digits)")
-    return x.significand * x.prime**shift
-
-
 def window_ball(d: PAdicScalar, radius_exp: int, coarse: int) -> tuple[int, int] | bool:
     """(m, key) such that window integer w (coarse end p^coarse) lies in the
     ball B_radius_exp(d + origin) iff w % m == key; where the radius or |d|

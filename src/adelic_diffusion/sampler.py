@@ -11,18 +11,16 @@ Three samplers:
   a midpoint given two pinned endpoints is sampled exactly by enumerating
   the ultrametric joint-radius classes of (|z-x|, |z-y|).
 
-Bridges come two ways, both under the law their `BridgeSpec` names.
-`sample_bridges` fills a whole batch of paths at once, one level of the
-midpoint recursion at a time, with every position an integer in a p-adic
-window (see `padic.window_int`); `fk_kernel` runs on it.  `sample_bridge`
-draws one path as `PAdicScalar`s and is the digit-exact oracle the batched
-engine is tested against in law.
-Likewise `event_path_sums` makes `sample_event_path`'s draws with each
-position one integer modulo B_{r_min}, for the exact estimator.
+`sample_bridge` draws one bridge skeleton as `PAdicScalar`s.  `fk_kernel`'s
+`event_bridge_visits` runs the event chain at the potential's scale to the
+ball around y, paths together as integers in a p-adic window, and counts
+their visits to each potential region.  Likewise `event_path_sums` makes
+`sample_event_path`'s draws as integers modulo B_{r_min}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +30,7 @@ from .errors import BridgeUnderflowError, ConfigError, ResolutionError, Truncati
 from .heat_kernel import (
     KernelParams,
     _frozen,
+    _pow,
     ball_mass,
     cached_radial_law,
     density,
@@ -39,6 +38,7 @@ from .heat_kernel import (
     exit_rate,
     sphere_mass,
 )
+from .lumped import return_probabilities
 from .padic import (
     DEFAULT_PRECISION,
     Ball,
@@ -47,7 +47,6 @@ from .padic import (
     uniform_digits,
     uniform_sphere,
     window_ball,
-    window_int,
 )
 from .rng import as_generator
 
@@ -364,12 +363,11 @@ def _bridge_point(params: KernelParams, s0: float, x0: PAdicScalar,
     raise TruncationError(f"equal-sphere bridge draw rejected {MAX_EQUAL_SPHERE_TRIES} times")
 
 
-def _check_endpoint_density(spec: BridgeSpec) -> None:
-    d_exp = (spec.y - spec.x).abs_exp()
-    rho = (density(spec.params, spec.t, d_exp) if d_exp is not None
-           else density_center(spec.params, spec.t))
+def _endpoint_density(params: KernelParams, t: float, e: int | None) -> float:
+    rho = density(params, t, e) if e is not None else density_center(params, t)
     if not rho > 0.0:
-        raise BridgeUnderflowError(f"endpoint density underflows at separation exponent {d_exp}")
+        raise BridgeUnderflowError(f"endpoint density underflows at separation exponent {e}")
+    return rho
 
 
 def sample_bridge(spec: BridgeSpec, epochs, rng,
@@ -383,7 +381,7 @@ def sample_bridge(spec: BridgeSpec, epochs, rng,
         raise ValueError("epochs must lie strictly inside (0, t)")
     if len(set(epochs)) != len(epochs):
         raise ValueError("epochs must be distinct")
-    _check_endpoint_density(spec)
+    _endpoint_density(spec.params, spec.t, (spec.y - spec.x).abs_exp())
     params, gen = spec.params, as_generator(rng)
     filled: dict[float, PAdicScalar] = {}
 
@@ -403,154 +401,130 @@ def sample_bridge(spec: BridgeSpec, epochs, rng,
     return PathSkeleton(params, times, values)
 
 
-# -- batched bridges in a p-adic window ---------------------------------------
+# -- event-chain bridges ---------------------------------------------------
 
-_NO_GAP = np.iinfo(np.int64).min  # |x1 - x0| exponent of equal endpoints
-
-
-def _bridge_tree(steps: int) -> list[list[tuple[int, int, int]]]:
-    """(left, mid, right) grid indices of sample_bridge's recursion over the
-    epochs 1 .. steps-1, one list per recursion depth."""
-    levels, spans = [], [(0, steps)]
-    while spans:
-        nodes = [(a, a + 1 + (b - a - 1) // 2, b) for a, b in spans if b - a >= 2]
-        if nodes:
-            levels.append(nodes)
-        spans = [span for a, m, b in nodes for span in ((a, m), (m, b))]
-    return levels
+MAX_BRIDGE_JUMPS = 10**4  # largest lam t of a bridge: its tables hold ~100 floats a jump
 
 
 @dataclass(frozen=True, eq=False)
-class BridgeWindow:
-    """A batch of bridges on a time grid, as integers in a p-adic window.
+class BridgeLaw:
+    """The event chain at p^r from x conditioned to end in B_r(y) at t, over classes
+    i of |Y - y| = p^{r+i} (0: in B_r(y)): n >= 1 jumps from n_cum; with m left, a
+    jump from i lands in j with weight step[i, j] h[m-1, j] (Doob's h-transform), and
+    keeps i with its overshoot from stay_cum[i]; share: rho_t(y - x)'s no-jump part."""
 
-    offsets[i, k] = (X_k - x) * p^coarse mod p^width for path i at
-    times[k]: the digits of X_k - x at valuations -coarse .. width-coarse-1.
-    """
+    p: int
+    start: int
+    n_cum: np.ndarray
+    h: np.ndarray
+    step: np.ndarray
+    stay_cum: np.ndarray
+    share: float
 
-    params: KernelParams
-    x: PAdicScalar
-    times: np.ndarray
-    coarse: int
+
+@lru_cache(maxsize=256)
+def bridge_law(params: KernelParams, t: float, r: int, e: int | None) -> BridgeLaw:
+    rho = _endpoint_density(params, t, e)
+    lam = exit_rate(params, r)
+    if lam * t > MAX_BRIDGE_JUMPS:
+        raise TruncationError(f"event-chain bridge expects {lam * t:.3g} jumps (limit "
+                              f"{MAX_BRIDGE_JUMPS:.0e}); coarsen the potential or shorten t")
+    p, q, mean = params.p, params.p ** -params.b, lam * t
+    start = 0 if e is None or e <= r else e - r
+    # no path reaching a class this far above the start's comes back but by ~2^-64
+    classes = start + 1 + math.ceil(64 * math.log(2) / math.log(p / q))
+    n_max = math.ceil(mean + 12 * math.sqrt(mean) + 40)
+    h = return_probabilities(params, lam, r, classes, n_max)
+    weights = h[1:, start] * np.exp([n * math.log(mean) - mean - math.lgamma(n + 1)
+                                     for n in range(1, n_max + 1)])
+    # no exit from B_r by t: the jumps within B_r decay a wavelet at level l <= r at
+    # sigma p^{-(l-1)b} - lam, so rho_t(y-x) - rho_t(p^r) + (e^{-lam t} - e^{-level_r}) p^-r
+    level_r = t * params.sigma * _pow(p, -(r - 1) * params.b)
+    free = (rho - density(params, t, r) - math.exp(-mean) * math.expm1(mean - level_r)
+            * _pow(p, -r)) if start == 0 else 0.0
+    total = free + math.fsum(weights) * _pow(p, -r)
+    if not total > 0.0:
+        raise BridgeUnderflowError(f"endpoint density underflows at separation exponent {e}")
+    # overshoot kappa ~ (1 - q) q^{kappa-1}: to class kappa > i; kept if kappa < i or if
+    # its lead misses the one that cancels, else to j < i, uniform in B_{r+i-1}
+    i, j = np.arange(classes)[:, None], np.arange(classes)
+    over = (1.0 - q) * q ** (j - 1.0)
+    cancel = over[i] / (p - 1) * np.where(j > 0, (1 - 1 / p) * float(p) ** (j - i + 1.0),
+                                           float(p) ** (1.0 - i))
+    keep = np.where((j > 0) & (j <= i), over[j], 0.0) * np.where(j == i, (p - 2) / (p - 1), 1.0)
+    step = np.where(j > i, over[j], np.where(j < i, cancel, keep.sum(axis=1)[:, None]))
+    return BridgeLaw(p, start, _frozen(np.cumsum(weights)), _frozen(h), _frozen(step),
+                     _frozen(np.cumsum(keep, axis=1)), free / total)
+
+
+@dataclass(frozen=True, eq=False)
+class EventBridge:
+    """A BridgeLaw from x to y under tau v, v a sum of (ball, coeff) terms of finest
+    radius p^r: W = (Y - y) p^C mod p^width, width = C - r, up to p^C, the coarsest of
+    the radii, |c - y| (centres c) and |y - x|, then the class alone; W is in the ball of
+    rule (m, key) iff W % m == key, finest last; values: -t tau Re v by region, x's: home."""
+
+    law: BridgeLaw
     width: int
-    offsets: np.ndarray  # object array of Python ints, (paths, len(times))
-
-    def in_ball(self, ball: Ball) -> np.ndarray:
-        """Whether each position lies in the ball (bool, shape of offsets)."""
-        if (self.coarse - ball.radius_exp > self.width
-                or isinstance(rule := window_ball(ball.center - self.x, ball.radius_exp,
-                                                  self.coarse), bool)):
-            raise ResolutionError(f"window (coarse end p^{self.coarse}, {self.width} digits) "
-                                  f"does not resolve the ball of radius p^{ball.radius_exp}")
-        mod, key = rule
-        return (self.offsets % mod) == key
+    start: int
+    rules: tuple[tuple[int, int], ...]
+    values: tuple[float, ...]
+    home: float
 
 
-def sample_bridges(spec: BridgeSpec, steps: int, count: int, rng, precision: int,
-                   cover=()) -> BridgeWindow:
-    """count bridges of spec on the grid t*k/steps, k = 0..steps, drawn together.
-
-    The law is sample_bridge's at the same epochs: each level of its
-    midpoint recursion is one batch.  The gap exponent |x1 - x0| of every
-    interval follows from the class drawn for its midpoint, so paths are
-    grouped by gap with one searchsorted per `_bridge_classes` row; digits
-    enter only in equal-sphere rejections and in ball memberships.  Each
-    jump carries at least `precision` digits, counting its leading one.
-    The window covers |y - x|, every known digit of x and y and the balls
-    in `cover` (radius and centre), and widens exactly whenever a level
-    drawn needs it.
-    """
-    if steps < 2 or count < 1:
-        raise ValueError("a bridge batch needs steps >= 2 and count >= 1")
-    _check_endpoint_density(spec)
-    params = spec.params
-    p = params.p
-    d = spec.y - spec.x
-    gap = d.abs_exp()
-    ends = [z for z in (spec.x, spec.y) if not z.is_zero()]
-    separations = [(b.center - spec.x).abs_exp() for b in cover] + [gap]
-    coarse = max([b.radius_exp for b in cover] + [z.abs_exp() for z in ends]
-                 + [e for e in separations if e is not None], default=0)
-    fine = max([-b.radius_exp for b in cover] + [z.known_mod_exp() for z in ends], default=0)
-    times = np.array([0.0, *(spec.t * k / steps for k in range(1, steps)), spec.t])
-    offsets = np.zeros((count, steps + 1), dtype=object)
-    offsets[:, steps] = window_int(d, coarse, coarse + fine)
-    gaps = {(0, steps): np.full(count, _NO_GAP if gap is None else gap, dtype=np.int64)}
-    gen = as_generator(rng)
-    for nodes in _bridge_tree(steps):
-        left, mid, right = (np.array(col) for col in zip(*nodes))
-        delta = np.stack([gaps.pop((a, b)) for a, _, b in nodes])
-        kind, level = _bridge_class_draws(params, times, nodes, delta, gen)
-        # widen: coarse end above every level, fine end `precision` digits below
-        top = int(level.max())
-        if top > coarse:
-            offsets *= p ** (top - coarse)
-            coarse = top
-        fine = max(fine, precision - int(level.min()))
-        width = coarse + fine
-        x0, x1 = offsets[:, left].T, offsets[:, right].T
-        lead = gen.integers(1, p, size=kind.shape)
-        _redraw_equal_sphere_leads(p, coarse, kind, delta, x0, x1, lead, gen)
-        unit = lead + p * uniform_digits(gen, p, lead.size, width - 1).reshape(kind.shape)
-        shift = np.array([p**k for k in range(coarse - int(level.min()) + 1)], dtype=object)
-        base = np.where(kind == _AROUND_X1, x1, x0)
-        offsets[:, mid] = ((base + unit * shift[coarse - level]) % p**width).T
-        # the class fixes |z - x0| and |z - x1| exactly (ultrametric)
-        keep = (kind == _AROUND_X1) | (kind == _EQUAL_SPHERES)
-        to_x1 = ((kind == _AROUND_X0) & (delta != _NO_GAP)) | (kind == _EQUAL_SPHERES)
-        for k, (a, m, b) in enumerate(nodes):
-            gaps[(a, m)] = np.where(keep[k], delta[k], level[k])
-            gaps[(m, b)] = np.where(to_x1[k], delta[k], level[k])
-    return BridgeWindow(params, spec.x, times, coarse, coarse + fine, offsets)
+def event_bridge(params: KernelParams, t: float, x: PAdicScalar, y: PAdicScalar, tau: float,
+                 terms) -> EventBridge:
+    terms = sorted(terms, key=lambda term: -term[0].radius_exp)
+    p, r, d = params.p, min((ball.radius_exp for ball, _ in terms), default=0), x - y
+    law = bridge_law(params, t, r, d.abs_exp())  # first: it raises where rho_t underflows
+    top = max([r, *(ball.radius_exp for ball, _ in terms)] + [e for e in (
+        d.abs_exp(), *((ball.center - y).abs_exp() for ball, _ in terms)) if e is not None])
+    rules = tuple(window_ball(ball.center - y, ball.radius_exp, top) for ball, _ in terms)
+    # a ball's region sums the terms of every ball that holds it
+    values = tuple(-t * tau * sum(coeff.real for (outer, coeff), (m, key) in zip(terms, rules)
+                                  if outer.radius_exp >= ball.radius_exp and inner % m == key)
+                   for (ball, _), (_, inner) in zip(terms, rules)) + (0.0,)
+    start = 0 if d.is_zero() else d.significand * p ** (d.valuation + top) % p ** (top - r)
+    home = max((col for col, (m, key) in enumerate(rules) if start % m == key), default=-1)
+    return EventBridge(law, top - r, start, rules, values, values[home])
 
 
-def _bridge_class_draws(params: KernelParams, times: np.ndarray, nodes, delta: np.ndarray,
-                        gen) -> tuple[np.ndarray, np.ndarray]:
-    """(kind, level) of every midpoint of one recursion level: one uniform
-    per midpoint, one searchsorted per (time split, gap) class row."""
-    u = gen.random(delta.size)
-    splits: dict[tuple[float, float], int] = {}
-    split = np.repeat([splits.setdefault((float(times[m] - times[a]), float(times[b] - times[m])),
-                                         len(splits)) for a, m, b in nodes], delta.shape[1])
-    gap = delta.ravel()
-    order = np.lexsort((gap, split))
-    cuts = np.flatnonzero(np.diff(gap[order]) | np.diff(split[order])) + 1
-    kind = np.empty(delta.size, dtype=np.int64)
-    level = np.empty(delta.size, dtype=np.int64)
-    taus = list(splits)
-    for group in np.split(order, cuts):
-        g = int(gap[group[0]])
-        labels, cum = _bridge_classes(params, *taus[split[group[0]]], None if g == _NO_GAP else g)
-        if len(cum) == 0 or not cum[-1] > 0.0:
-            raise BridgeUnderflowError(
-                "conditional bridge mass underflows; endpoints too far for horizon"
-            )
-        idx = np.searchsorted(cum, u[group] * cum[-1], side="right")
-        table = labels[np.minimum(idx, len(labels) - 1)]
-        kind[group], level[group] = table[:, 0], table[:, 1]
-    # a deep class is a Haar-uniform point of its ball: a sphere a geometric
-    # number of levels down
-    deep = np.flatnonzero(kind >= _DEEP_X0)
-    if deep.size:
-        level[deep] -= gen.geometric(1.0 - 1.0 / params.p, size=deep.size) - 1
-        kind[deep] = np.where(kind[deep] == _DEEP_X0, _AROUND_X0, _AROUND_X1)
-    return kind.reshape(delta.shape), level.reshape(delta.shape)
+def event_bridge_visits(bridge: EventBridge, rng, count: int) -> np.ndarray:
+    """Visits of Y_0 .. Y_n of count bridges (rows, by decreasing n) to each rule's
+    ball where it is the finest, then to none.  Paths jump together; W is int64 up
+    to p^width = 2^62, Python ints above; a dropped class lands Haar-uniformly."""
+    law, width, rules = bridge.law, bridge.width, bridge.rules
+    p, gen = law.p, as_generator(rng)
+    dtype = np.int64 if p**width <= 2**62 else object
+    pw = np.array([p**k for k in range(width + 1)], dtype=dtype)
+    n = 1 + np.searchsorted(law.n_cum, gen.random(count) * law.n_cum[-1], side="right")
+    n = np.sort(np.minimum(n, len(law.n_cum)))[::-1]
+    cls, W = np.full(count, law.start), np.full(count, bridge.start, dtype=dtype)
+    counts = np.zeros((count, len(rules) + 1), dtype=np.int64)
 
+    def visit(k: int) -> None:
+        region = np.full(k, len(rules))
+        for col, (m, key) in enumerate(rules):
+            region[(cls[:k] <= width) & (W[:k] % m == key)] = col
+        counts[np.arange(k), region] += 1
 
-def _redraw_equal_sphere_leads(p: int, coarse: int, kind, delta, x0, x1, lead, gen) -> None:
-    """Equal-sphere midpoints z = x0 + jump need |z - x1| = |x1 - x0|, that is
-    a leading jump digit other than minus the digit of x0 - x1 there; redraw
-    the failing leads, MAX_EQUAL_SPHERE_TRIES draws per midpoint at most."""
-    r, c = np.nonzero(kind == _EQUAL_SPHERES)
-    if r.size == 0:
-        return
-    shift = np.array([p ** int(coarse - g) for g in delta[r, c]], dtype=object)
-    banned = ((p - ((x0[r, c] - x1[r, c]) // shift) % p) % p).astype(np.int64)
-    for _ in range(MAX_EQUAL_SPHERE_TRIES - 1):
-        bad = lead[r, c] == banned
-        if not bad.any():
-            return
-        lead[r[bad], c[bad]] = gen.integers(1, p, size=int(bad.sum()))
-    if (lead[r, c] == banned).any():
-        raise TruncationError(
-            f"equal-sphere bridge draw rejected {MAX_EQUAL_SPHERE_TRIES} times")
+    visit(count)
+    for s in range(int(n[0]) if count else 0):
+        k = int(np.count_nonzero(n > s))
+        i, u = cls[:k], gen.random((3, k))
+        cum = np.cumsum(law.step[i] * law.h[n[:k] - s - 1], axis=1)
+        j = np.minimum((cum <= u[0, :, None] * cum[:, -1:]).sum(axis=1), len(law.step) - 1)
+        stay = law.stay_cum[i]
+        kappa = np.where(j == i, (stay <= u[1, :, None] * stay[:, -1:]).sum(axis=1), j)
+        kappa = np.clip(kappa, 1, max(width, 1))
+        # jump p^(width - kappa) (lead + p rest); keeping i, it skips the lead that cancels
+        keep = (j == i) & (kappa == i)
+        lead = 1 + (u[2] * np.where(keep, p - 2, p - 1)).astype(np.int64)
+        lead += keep & (lead >= (-(W[:k] // pw[width - np.minimum(i, width)])) % p)
+        rest = (0 if width < 2 else gen.integers(0, pw[width - 1], size=k) if dtype != object
+                else uniform_digits(gen, p, k, width - 1))
+        unit = (lead + p * (rest % pw[kappa - 1])) * pw[width - kappa]
+        W[:k] = np.where(j == 0, 0, (np.where(j < i, 0, W[:k]) + unit) % pw[-1])
+        cls[:k] = j
+        visit(k)
+    return counts

@@ -422,19 +422,12 @@ def check_fk_kernel_consistency(fast: bool) -> CheckResult:
     params = sigma.kernel_params(1, b)
     law = increment_law(params, t)
     gen = RngStream(BASE_SEED).child(18).generator()
-    vals = []
+    c, vals = np.cumsum(law.array[:1 - law.m_lo]), []  # y's radius law on Z_2
     for j in range(n_y):
-        arr = law.array.copy()
-        hi = 0 - law.m_lo + 1
-        c = np.cumsum(arr[:hi])
         m = int(np.searchsorted(c, gen.random() * c[-1], side="right")) + law.m_lo
-        y2 = uniform_sphere(gen, 2, m, 20)
-        req = FKRequest(
-            sigma, b, t, x, alpha, pot, n_in, 1, seed=BASE_SEED + 7 + j,
-            y=AdelicPoint.of({2: y2}), bridge_steps=32,
-        )
-        est = fk_kernel(req)
-        vals.append(est.bridge_factor)
+        y = AdelicPoint.of({2: uniform_sphere(gen, 2, m, 20)})
+        vals.append(fk_kernel(FKRequest(sigma, b, t, x, alpha, pot, n_in, 1,
+                                        seed=BASE_SEED + 7 + j, y=y)).bridge_factor)
     kernel_form = hk.ball_mass(params, t, 0) * float(np.mean(vals))
     se_k = hk.ball_mass(params, t, 0) * float(np.std(vals, ddof=1) / math.sqrt(n_y))
     comb = math.hypot(direct.std_error, se_k)

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's series code paths: plain-Python
 loops over the defining formulas, so agreement is a real cross-check.  The
-semigroup and generator harnesses at the end are built on the estimators
-and check them against the paper's semigroup and generator identities.
+semigroup and generator harnesses are built on the estimators and check
+them against the paper's semigroup and generator identities, and
+`semigroup_reference` solves e^{t(Q - V)} at one prime from the operator
+alone, for the estimators with a potential.
 """
 
 import math
@@ -77,20 +79,6 @@ def norm_sq_quadrature(p, b, tol=1e-20):
         k += 1
         if term < tol:
             return total
-
-
-def trapezoid_action(sk, tau, f):
-    """The kernel estimator's trapezoid action on a digit-exact skeleton."""
-    from adelic_diffusion.schwartz import eval_sb
-
-    vals = [eval_sb(f, z).real for z in sk.values]
-    return tau * sum((t1 - t0) * 0.5 * (v0 + v1) for t0, t1, v0, v1
-                     in zip(sk.times, sk.times[1:], vals, vals[1:]))
-
-
-def tv_distance(freqs_a: dict, freqs_b: dict) -> float:
-    keys = set(freqs_a) | set(freqs_b)
-    return 0.5 * sum(abs(freqs_a.get(k, 0.0) - freqs_b.get(k, 0.0)) for k in keys)
 
 
 def fine_skeleton_exit_landings(params, T, steps, n, seed):
@@ -219,7 +207,6 @@ def semigroup_check_mc(sigma, b, s, t, alpha, v, x, N, n, seed):
         sample_event_path,
         sample_increment,
     )
-    from adelic_diffusion.feynman_kac import PRECISION
     from adelic_diffusion.primes import prime_at
 
     direct = fk_expectation(FKRequest(sigma, b, s + t, x, alpha, v, n, N, seed=seed))
@@ -243,7 +230,7 @@ def semigroup_check_mc(sigma, b, s, t, alpha, v, x, N, n, seed):
                 action += action_integral(path, v, s)
                 endpoint[p] = path.end_position()
             else:
-                endpoint[p] = start + sample_increment(params, s, gen, PRECISION)
+                endpoint[p] = start + sample_increment(params, s, gen, 24)
         inner = fk_expectation(FKRequest(
             sigma, b, t, AdelicPoint.of(endpoint), alpha, v, n_in, N,
             seed=seed * 1_000_003 + j + 1,
@@ -319,3 +306,102 @@ def occupation_series(params, t, start, terms):
         total += coeff.real * quad(lambda s: ball_kernel_mass(params, s, e, ball.radius_exp),
                                    0.0, t, epsabs=1e-14, epsrel=1e-13)[0]
     return total
+
+
+@dataclass(frozen=True)
+class SemigroupReference:
+    """e^{t(Q - V)} at one prime on the lumped ball tree of a set of centres.
+
+    States 0 .. leaves - 1 are the leaf balls B_leaf(c); then come each tree
+    node's shell (the node less its child nodes) and the outer shells around
+    the top node.  Between two states the distance is one value, so the
+    chain lumps exactly.  Every rate is Q 1_B(x_A) = -sigma (D 1_B)(x_A) from
+    `vladimirov_apply` at a point x_A of state A, and V is tau Re v there.
+    Paths that pass the last outer shell are lost; `lost` bounds their mass.
+    """
+
+    matrix: np.ndarray
+    points: tuple
+    log_haar: np.ndarray
+    leaves: int
+    leaf: int
+    lost: float
+
+    def state(self, x) -> int:
+        """The leaf state holding x, one of the centres."""
+        return next(k for k, z in enumerate(self.points[:self.leaves])
+                    if (x - z).is_zero() or (x - z).abs_exp() <= self.leaf)
+
+    def expectation(self, x, f) -> float:
+        """E_x[e^{-int V} f(X_t)] for f constant on the states."""
+        from adelic_diffusion.schwartz import eval_sb
+
+        return float(self.matrix[self.state(x)] @ [eval_sb(f, z).real for z in self.points])
+
+    def kernel(self, x, y) -> float:
+        """K^V_t(x, .) averaged over the leaf ball around y."""
+        k = self.state(y)
+        return float(self.matrix[self.state(x), k] * math.exp(-self.log_haar[k]))
+
+
+def semigroup_reference(params, t, centres, leaf, tau=0.0, v=None, lost_tol=1e-13):
+    """SemigroupReference at resolution p^leaf (at most v's finest radius) over
+    the centres (with the start, every ball centre and, for a kernel, y).
+
+    Balls are keyed by (radius exponent, exact coset key); Haar measures are
+    kept as logs.  Outer shells go on until 1 - P(no exit from the outermost
+    ball by t), by expm1 with the exit rate from the operator, is below lost_tol.
+    """
+    from scipy.linalg import expm
+
+    from adelic_diffusion import Ball, PAdicScalar, SBFunction, eval_sb, vladimirov_apply
+
+    p = params.p
+
+    def key(c, k):
+        return k, c.coset_key(k)
+
+    def unit_at(k, digit):  # a point of |.| = p^k, known to 40 digits below p^leaf
+        return PAdicScalar(p, -k, digit, k - leaf + 40)
+
+    top = max([leaf] + [(a - b).abs_exp() for a in centres for b in centres
+                        if not (a - b).is_zero()])
+    nodes = {}  # (k, key) -> a centre in the ball
+    for k in range(leaf, top + 1):
+        for c in centres:
+            nodes.setdefault(key(c, k), c)
+    states = []  # (indicator terms, point, log Haar)
+    for (k, _), c in nodes.items():
+        if k == leaf:
+            states.append((((Ball(c, k), 1.0 + 0j),), c, k * math.log(p)))
+    for (k, kk), c in nodes.items():
+        if k == leaf:
+            continue
+        children = [z for (j, _), z in nodes.items() if j == k - 1 and key(z, k) == (k, kk)]
+        if len(children) == p:
+            continue
+        child_keys = {key(z, k - 1) for z in children}
+        point = next(c + unit_at(k, u) for u in range(1, p)
+                     if key(c + unit_at(k, u), k - 1) not in child_keys)
+        terms = ((Ball(c, k), 1.0 + 0j), *((Ball(z, k - 1), -1.0 + 0j) for z in children))
+        states.append((terms, point, math.log(p - len(children)) + (k - 1) * math.log(p)))
+    centre = centres[0]
+
+    def lost(k):  # 1 - P(no exit from B_k(centre) by t), the exit rate from the operator
+        rate = params.sigma * vladimirov_apply(params, SBFunction.indicator(Ball(centre, k)),
+                                               centre).real
+        return -math.expm1(-t * rate)
+
+    k = top + 1
+    while True:
+        states.append((((Ball(centre, k), 1.0 + 0j), (Ball(centre, k - 1), -1.0 + 0j)),
+                       centre + unit_at(k, 1), math.log(p - 1) + (k - 1) * math.log(p)))
+        if lost(k) <= lost_tol:
+            break
+        k += 1
+    q = np.array([[-params.sigma * vladimirov_apply(params, SBFunction(p, terms), z).real
+                   for terms, _, _ in states] for _, z, _ in states])
+    pot = [tau * eval_sb(v, z).real if v is not None else 0.0 for _, z, _ in states]
+    leaves = sum(1 for kk in nodes if kk[0] == leaf)
+    return SemigroupReference(expm(t * (q - np.diag(pot))), tuple(z for _, z, _ in states),
+                              np.array([h for _, _, h in states]), leaves, leaf, lost(k))

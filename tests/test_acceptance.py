@@ -18,7 +18,6 @@ from click.testing import CliRunner
 from adelic_diffusion import (
     AdelicPoint,
     Ball,
-    BridgeSpec,
     FKRequest,
     KernelParams,
     PAdicScalar,
@@ -28,8 +27,6 @@ from adelic_diffusion import (
     SimpleAdelicSB,
     SimplePotential,
     ball_mass,
-    density,
-    density_center,
     exit_count_factorial_bound,
     exit_count_moment,
     exit_count_pmf,
@@ -41,7 +38,6 @@ from adelic_diffusion import (
     overshoot_law,
     radial_convolve,
     radial_law,
-    sample_bridge,
     sample_event_path,
     vacuum_multiplier_norm_sq,
 )
@@ -51,7 +47,7 @@ from conftest import (
     fine_skeleton_exit_landings,
     generator_check,
     norm_sq_quadrature,
-    trapezoid_action,
+    semigroup_reference,
 )
 
 KP = KernelParams(2, 1.0, 1.0)
@@ -262,8 +258,8 @@ def test_09_kernel_symmetry():
 
 
 def test_10_product_factorization():
-    # fk_kernel against the density times the product over primes of the bridge
-    # means of the digit-exact oracle sample_bridge, with the trapezoid action
+    # fk_kernel against the product over primes of the semigroup reference's
+    # kernels, e^{t(Q - V)} at each prime from the operator alone
     sig = SigmaSequence(explicit=(1.0, 1.0))
     pot = SimplePotential.of({
         2: (0.6, SBFunction.vacuum(2)),
@@ -272,31 +268,19 @@ def test_10_product_factorization():
     om = SimpleAdelicSB.vacuum()
     x = AdelicPoint.resolved_zeros(2)
     y = AdelicPoint.resolved_zeros(2, p2=PAdicScalar.from_int(1, 2))
-    steps, n_oracle = 32, 1000
-    req = FKRequest(sig, 1.0, 1.0, x, om, pot, 3000, 2, seed=9300, y=y,
-                    bridge_steps=steps)
-    est = fk_kernel(req)
-    epochs = [j / steps for j in range(1, steps)]
-    means, variances = [], []
-    for i, p in enumerate((2, 3), start=1):
-        params = sig.kernel_params(i, 1.0)
-        spec = BridgeSpec(params, 1.0, x.component(p), y.component(p))
-        gen = RngStream(9301).child(p).generator()
+    est = fk_kernel(FKRequest(sig, 1.0, 1.0, x, om, pot, 3000, 2, seed=9300, y=y))
+    ref = 1.0
+    # leaves below |y_2 - x_2| = 1 at 2; at 3, x_3 = y_3 and leaves of 3^-5 hold the
+    # kernel within e^-243 of its value on the diagonal
+    for i, (p, leaf) in enumerate(((2, -1), (3, -5)), start=1):
         tau, f = pot.component(p)
-        w = [math.exp(-trapezoid_action(sample_bridge(spec, epochs, gen, 24), tau, f))
-             for _ in range(n_oracle)]
-        means.append(np.mean(w))
-        variances.append(np.var(w, ddof=1) / n_oracle)
-    # independent means: Var(m2 m3) = m2^2 v3 + m3^2 v2 + v2 v3
-    (m2, m3), (v2, v3) = means, variances
-    dens = density(sig.kernel_params(1, 1.0), 1.0, 0) * density_center(
-        sig.kernel_params(2, 1.0), 1.0)
-    ref = dens * m2 * m3
-    ref_se = dens * math.sqrt(m2**2 * v3 + m3**2 * v2 + v2 * v3)
-    z = (est.value.real - ref) / math.hypot(est.std_error, ref_se)
+        xp, yp = x.component(p), y.component(p)
+        ref *= semigroup_reference(sig.kernel_params(i, 1.0), 1.0, [xp, yp], leaf, tau,
+                                   f).kernel(xp, yp)
+    z = (est.value.real - ref) / est.std_error
     assert abs(z) <= 3
-    report(10, f"fk_kernel {est.value.real:.5f} vs density x oracle bridge means "
-               f"{ref:.5f}, z = {z:+.2f} (|z| <= 3)")
+    report(10, f"fk_kernel {est.value.real:.5f} vs the semigroup reference {ref:.5f}, "
+               f"z = {z:+.2f} (|z| <= 3)")
 
 
 def test_11_generator_convergence():

@@ -55,6 +55,14 @@ class TestDensity:
         assert res.exit_code == 0, res.output
         assert read_csv(out)[-1][1] == "TOTAL"
 
+    def test_huge_time_total_is_finite(self, runner, tmp_path):
+        out = tmp_path / "d.csv"
+        res = runner.invoke(main, ["density", "--t", "1e300", "-p", "2", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert abs(float(read_csv(out)[-1][3]) - 1.0) < 1e-10
+        derived = json.loads(Path(str(out) + ".manifest.json").read_text())["derived"]
+        assert derived["normalization_defect"] < 1e-10
+
 
 class TestExit:
     def test_analytic_vs_mc(self, runner, tmp_path):
@@ -229,11 +237,9 @@ class TestFkManifest:
         y = tmp_path / "y.json"
         y.write_text(json.dumps({"components": [
             {"prime": 2, "valuation": 0, "digits": [1]}]}))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bridge_steps": 8}))
         out = tmp_path / "k.csv"
         res = runner.invoke(main, [
-            "fk", "--config", str(cfg), "--n-paths", "100", "-N", "1", "--seed", "3",
+            "fk", "--n-paths", "100", "-N", "1", "--seed", "3",
             "--potential", str(pot), "--point", str(x), "--endpoint", str(y),
             "-o", str(out),
         ])
@@ -280,11 +286,9 @@ class TestKernelSymmetryRecord:
         y = tmp_path / "y.json"
         y.write_text(json.dumps({"components": [
             {"prime": 2, "valuation": 0, "digits": [1]}]}))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bridge_steps": 16}))
         out = tmp_path / "k.csv"
         res = runner.invoke(main, [
-            "fk", "--config", str(cfg), "--b", "1", "--t", "1", "--n-paths", "400",
+            "fk", "--b", "1", "--t", "1", "--n-paths", "400",
             "-N", "1", "--seed", "6", "--potential", str(pot), "--point", str(x),
             "--endpoint", str(y), "-o", str(out),
         ])
@@ -422,11 +426,12 @@ class TestWorkerCount:
         assert "workers must be positive" in res.output
 
     def test_one_bridge_step_is_config_error(self, runner, tmp_path):
+        # kernel mode has no time grid, so bridge_steps is a key fk does not read
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bridge_steps": 1}))
         res = self.fk(runner, tmp_path, ["--config", str(cfg)])
         assert res.exit_code == 2
-        assert "bridge_steps must be at least 2" in res.output
+        assert "unknown config keys for fk: bridge_steps" in res.output
 
 
 BALL_AT_ZERO = [{"zero": True, "radius_exp": 0, "coeff": 1.0}]

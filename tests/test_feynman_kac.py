@@ -36,11 +36,13 @@ from adelic_diffusion import (
 )
 from adelic_diffusion.primes import prime_at
 
+from adelic_diffusion.feynman_kac import _factor_convolution
 from conftest import (
     generator_check,
     occupation_series,
     semigroup_check_mc,
     semigroup_compose_free,
+    semigroup_reference,
 )
 
 SIG = SigmaSequence.inverse_square()
@@ -441,9 +443,9 @@ class TestPinnedEventValues:
             'composed=0.6877331410127788, combined_se=0.07266281966539154)')
 
 
-# Kernel and folded values pinned from the two-pipeline estimators (a bridge
-# plan type and chunk function of their own in kernel mode); the one pipeline
-# must reproduce them to the last digit.
+# Kernel values pinned from the event-chain bridge engine (the trapezoid
+# grid's streams and values were retired with it), folded ones from the
+# two-pipeline estimators; the one pipeline must reproduce them to the last digit.
 KERNEL_X = AdelicPoint.resolved_zeros(3)
 KERNEL_Y = AdelicPoint.resolved_zeros(3, p2=PAdicScalar.from_int(1, 2),
                                       p3=PAdicScalar.from_rational(Fraction(2, 3), 3))
@@ -456,18 +458,18 @@ KERNEL_POT = SimplePotential.of({  # bridge slots 0 and 1
 
 class TestPinnedKernelAndFoldedValues:
     def test_kernel_both_ways_at_every_worker_count(self):
-        # 700 paths in chunks of 300: a chunk of two bridge batches, and a short one
+        # 700 paths in chunks of 300: two full chunks and a short one
         req = FKRequest(SIG, B, 1.0, KERNEL_X, OM, KERNEL_POT, 700, 3, seed=1901, y=KERNEL_Y,
-                        bridge_steps=8, chunk_size=300)
+                        chunk_size=300)
         for w in (1, 4):
             assert repr(fk_kernel(replace(req, workers=w))) == (
-                'FKEstimate(value=(0.032025870226101046+0j), std_error=0.00021489156784913887, '
+                'FKEstimate(value=(0.0322310744772457+0j), std_error=4.326798686135187e-05, '
                 'n_paths=700, tail_certificate=0.9541776794342406, '
-                'density_factor=0.07750939183400865, bridge_factor=0.4131869631319841)')
+                'density_factor=0.07750939183400865, bridge_factor=0.41583443908669315)')
             assert repr(fk_kernel(replace(req, x=KERNEL_Y, y=KERNEL_X, seed=1902, workers=w))) == (
-                'FKEstimate(value=(0.03220330236795779+0j), std_error=0.00022012520530859846, '
+                'FKEstimate(value=(0.03218831179459432+0j), std_error=4.193911677099705e-05, '
                 'n_paths=700, tail_certificate=0.9541776794342406, '
-                'density_factor=0.07750939183400865, bridge_factor=0.41547613271077183)')
+                'density_factor=0.07750939183400865, bridge_factor=0.41528272939526684)')
         assert repr(fk_kernel(replace(req, v=V0))) == (
             'FKEstimate(value=(0.07750939183400865+0j), std_error=0.0, n_paths=700, '
             'tail_certificate=0.9541776794342406, density_factor=0.07750939183400865, '
@@ -574,8 +576,6 @@ def _raw_event_z(t, n, seed):
     """(P_bar - F_p)/SE for the real and the imaginary part, and (A_bar - a_p)/SE,
     from the raw draws of TestEventControl's request, against the
     heat-kernel series: _factor_convolution and occupation_series."""
-    from adelic_diffusion.feynman_kac import _factor_convolution
-
     req = FKRequest(SIG, B, t, TestEventControl.X, TestEventControl.ALPHA3,
                     TestEventControl.POT3, n, 2, seed=seed)
     plan, ends, actions = TestEventControl.raw(req)
@@ -740,7 +740,7 @@ class TestKernels:
                         bridge_steps=16, chunk_size=200)
         ests = [fk_kernel(replace(req, workers=w)) for w in (1, 4, 8)]
         # one call per worker count, each sampling bridges at both potential slots
-        assert [tuple(plan.slot for plan in plans if plan.spec) for plans in run_chunks_calls] \
+        assert [tuple(plan.slot for plan in plans if plan.bridge) for plans in run_chunks_calls] \
             == [(0, 1)] * 3
         assert ests[0].std_error > 0
         assert ests[0] == ests[1] == ests[2]
@@ -820,3 +820,144 @@ class TestGenerator:
                               N=3, seed=719)
         assert all(math.isfinite(fd) for fd in rep.finite_differences)
         assert abs(rep.finite_differences[-1] - rep.target) < 0.05
+
+
+# -- kernel mode and expectation mode against the semigroup reference ----------
+
+# the benchmark's kernel_bridge law: x = 0, |y_2| = 2 and units at 3 .. 13,
+# potentials centred on x at 2, 3 and 5; the digits of y are fixed here
+BENCH_SIG = SigmaSequence(explicit=(3.0, 4.0, 6.0), tail_coeff=1.0, tail_power=2.0)
+BENCH_POT = SimplePotential.of({
+    2: (1.0, SBFunction(2, ((Ball(PAdicScalar.zero(2), 0), 1.0 + 0j),
+                            (Ball(PAdicScalar.zero(2), -1), 0.5 + 0j)))),
+    3: (1.0, SBFunction.indicator(Ball(PAdicScalar.zero(3), 0))),
+    5: (2.0, SBFunction.indicator(Ball(PAdicScalar.zero(5), -1))),
+})
+BENCH_X = AdelicPoint.resolved_zeros(6)
+BENCH_Y = AdelicPoint.of({
+    2: PAdicScalar.from_digits(2, -1, [1, 1, 0, 1, 0, 0, 1, 1]),
+    3: PAdicScalar.from_digits(3, 0, [2, 0, 1, 1, 2, 0, 1, 2]),
+    5: PAdicScalar.from_digits(5, 0, [3, 4, 0, 2, 1, 1, 0, 4]),
+    7: PAdicScalar.from_digits(7, 0, [1, 6, 2]), 11: PAdicScalar.from_digits(11, 0, [5, 3]),
+    13: PAdicScalar.from_digits(13, 0, [12, 1]),
+})
+
+
+def _reference_kernel(sigma, pot, x, y, t, n):
+    """prod_p K^V_t(x_p, y_p) over primes 1..n: the semigroup reference where
+    the potential has a term, with leaves finer than |y_p - x_p| (or 5 levels
+    below its finest radius at x_p = y_p), the free density elsewhere."""
+    value = 1.0
+    for i in range(1, n + 1):
+        p = prime_at(i)
+        params = sigma.kernel_params(i, B)
+        xp = x.component(p) or PAdicScalar.zero(p)
+        yp = y.component(p) or PAdicScalar.zero(p)
+        e = (yp - xp).abs_exp()
+        if (term := pot.component(p)) is None:
+            value *= density(params, t, e) if e is not None else density_center(params, t)
+            continue
+        tau, f = term
+        r = f.min_radius_exp()
+        leaf = min(r, e) - 1 if e is not None else r - 5
+        ref = semigroup_reference(params, t, [xp, yp, *(b.center for b, _ in f.terms)], leaf,
+                                  tau, f)
+        assert ref.lost < 1e-12
+        value *= ref.kernel(xp, yp)
+    return value
+
+
+class TestSemigroupReference:
+    @pytest.mark.parametrize("p, sigma", [(2, 3.0), (3, 4.0), (5, 6.0), (7, 0.5)])
+    def test_free_values_are_the_series(self, p, sigma):
+        params = KernelParams(p, B, sigma)
+        zero, one = PAdicScalar.zero(p), PAdicScalar.from_int(1, p)
+        y = PAdicScalar.from_digits(p, -1, [1, 2 % p, 1, 0, 1, 1])
+        ref = semigroup_reference(params, 1.0, [zero, y, one], -3)
+        assert ref.lost < 1e-12
+        assert ref.kernel(zero, y) == pytest.approx(density(params, 1.0, 1), rel=1e-12)
+        assert ref.kernel(zero, one) == pytest.approx(density(params, 1.0, 0), rel=1e-12)
+        for f in (SBFunction.indicator(Ball(one, -2)), SBFunction.indicator(Ball(y, 0)),
+                  SBFunction(p, ((Ball(zero, 1), 1.0 + 0j), (Ball(one, -1), 0.5 + 0j)))):
+            assert ref.expectation(zero, f) == pytest.approx(
+                _factor_convolution(params, 1.0, f, zero).real, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_fk_expectation_with_a_potential(self, t):
+        # schrodinger_events-shaped: ball potentials of radius p^-1 on the start at
+        # 2 and 3, ball observables at 2, 3, 5, 7 and 11; the theorem at finite t
+        sig = SigmaSequence(explicit=(1.5, 1.0), tail_coeff=1.0, tail_power=2.0)
+        x = {p: PAdicScalar.from_digits(p, 0, [1 + k % (p - 1), k % p, 1])
+             for k, p in enumerate((2, 3, 5, 7, 11))}
+        pot = SimplePotential.of({2: (0.5, SBFunction.indicator(Ball(x[2], -1))),
+                                  3: (1.0, SBFunction.indicator(Ball(x[3], -1)))})
+        obs = {2: Ball(x[2], 0), 3: Ball(x[3], 1), 5: Ball(PAdicScalar.zero(5), 0),
+               7: Ball(x[7], -1), 11: Ball(x[11], 0)}
+        alpha = SimpleAdelicSB.of({p: SBFunction.indicator(ball) for p, ball in obs.items()})
+        point = AdelicPoint.of(x)
+        est = fk_expectation(FKRequest(sig, B, t, point, alpha, pot, 4000, 8,
+                                       seed=2600 + int(4 * t), chunk_size=1000))
+        ref = 1.0
+        for i in range(1, 9):
+            p = prime_at(i)
+            params = sig.kernel_params(i, B)
+            if (term := pot.component(p)) is not None:
+                ref *= semigroup_reference(params, t, [x[p], obs[p].center], -1, *term
+                                           ).expectation(x[p], alpha.factor(p))
+            else:
+                ref *= _factor_convolution(params, t, alpha.factor(p), point.component(p)).real
+        assert abs(est.value.real - ref) <= 4 * est.std_error
+
+
+class TestEventBridgeGates:
+    """Pre-registered gates of kernel mode's event-chain bridge."""
+
+    CASES = {
+        "kernel_bridge": (BENCH_SIG, BENCH_POT, BENCH_X, BENCH_Y),
+        # x_3 = y_3 at a potential prime, slow enough (lam t = 0.225) that the
+        # no-jump part carries most of the factor there
+        "x3_is_y3": (SigmaSequence(explicit=(3.0, 0.3, 6.0), tail_coeff=1.0, tail_power=2.0),
+                     BENCH_POT, BENCH_X,
+                     AdelicPoint.of({**{p: BENCH_Y.component(p) for p in (2, 5, 7, 11, 13)},
+                                     3: PAdicScalar.zero(3)})),
+        # a ball of radius 2^-3 at x = y: 16 jumps a path on average
+        "radius_2^-3_at_x_is_y": (
+            SigmaSequence(explicit=(3.0,)),
+            SimplePotential.of({2: (1.0, SBFunction.indicator(Ball(PAdicScalar.zero(2), -3)))}),
+            AdelicPoint.resolved_zeros(1), AdelicPoint.resolved_zeros(1)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_estimate_within_band_of_reference(self, case):
+        sigma, pot, x, y = self.CASES[case]
+        n = max(x.max_active_index(), y.max_active_index(), 1)
+        ref = _reference_kernel(sigma, pot, x, y, 1.0, n)
+        for k, (a, b) in enumerate(((x, y), (y, x))):
+            est = fk_kernel(FKRequest(sigma, B, 1.0, a, OM, pot, 4000, n, seed=2700 + k, y=b))
+            assert abs(est.value.real - ref) <= 4 * est.std_error, (case, k, est, ref)
+
+    def test_every_factor_in_bounds(self):
+        from adelic_diffusion.feynman_kac import _bridge_column, _compile_kernel
+
+        req = FKRequest(BENCH_SIG, B, 1.0, BENCH_X, OM, BENCH_POT, 10, 6, seed=2710, y=BENCH_Y)
+        for plan in _compile_kernel(req)[1]:
+            tau, f = plan.v_term
+            values = _bridge_column(plan.bridge, RngStream(2711).generator(), 4000)
+            # the potentials are nested sums at one centre: sup v sums the coefficients
+            assert values.min() >= math.exp(-tau * sum(c.real for _, c in f.terms))
+            assert values.max() <= 1.0
+
+    def test_alpha_fault_leaves_the_band(self, monkeypatch):
+        import adelic_diffusion.heat_kernel as hk
+        from adelic_diffusion.sampler import bridge_law
+
+        ref = _reference_kernel(BENCH_SIG, BENCH_POT, BENCH_X, BENCH_Y, 1.0, 6)
+        real_alpha = hk.alpha
+        monkeypatch.setattr(hk, "alpha", lambda params: 1.15 * real_alpha(params))
+        bridge_law.cache_clear()
+        try:
+            est = fk_kernel(FKRequest(BENCH_SIG, B, 1.0, BENCH_X, OM, BENCH_POT, 4000, 6,
+                                      seed=2720, y=BENCH_Y))
+        finally:
+            bridge_law.cache_clear()
+        assert abs(est.value.real - ref) > 4 * est.std_error

@@ -131,6 +131,17 @@ class TestSphereMass:
                         assert abs(total - 1.0) < 1e-10
 
 
+    def test_huge_time_masses_are_ball_mass_differences(self):
+        # at sigma t = 1e300 the series tail bound underflows while the terms do
+        # not, and p^m overflows where the density underflows
+        kp = KernelParams(2, 1.0, 1.0)
+        law = radial_law(kp, 1e300)
+        for m in range(law.m_lo, law.m_hi + 1):
+            diff = ball_mass(kp, 1e300, m) - ball_mass(kp, 1e300, m - 1)
+            assert sphere_mass(kp, 1e300, m) == pytest.approx(diff, rel=1e-9, abs=1e-15), m
+        assert abs(law.coverage() + law.bottom_mass + law.top_loss - 1.0) < 1e-10
+
+
 class TestExitLaw:
     def test_time_zero(self):
         assert exit_prob(KP, 0.0, 0) == 1.0

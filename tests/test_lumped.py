@@ -1,15 +1,23 @@
 """The event chain's means in closed form, against the heat-kernel series and
-the Vladimirov operator."""
+the Vladimirov operator, and kernel mode's bridge law and holding-time average."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from adelic_diffusion import Ball, PAdicScalar, SBFunction, SigmaSequence, vladimirov_apply
 from adelic_diffusion import heat_kernel as hk
 from adelic_diffusion.feynman_kac import _factor_convolution
 from adelic_diffusion.heat_kernel import exit_rate
-from adelic_diffusion.lumped import event_means, wavelet_rate
+from adelic_diffusion.lumped import (
+    _ball_means,
+    dirichlet_average,
+    event_means,
+    wavelet_rate,
+)
+from adelic_diffusion.sampler import bridge_law
 
 from conftest import occupation_series
 
@@ -104,3 +112,69 @@ def test_generator_is_the_vladimirov_operator(b):
             qf = sum(_generator_value(params, r, ball, c, start) for ball, c in f.terms)
             exact = -params.sigma * vladimirov_apply(params, f, start)
             assert abs(qf - exact) <= 1e-12
+
+
+# -- kernel mode's event-chain bridge: pre-registered closed-form gates --------
+
+# (p, sigma, r_V): the benchmark's rates at 2, 3 and 5, a slow prime 7 and a slow, coarse 2
+BRIDGE_LAWS = ((2, 3.0, -1), (3, 4.0, 0), (5, 6.0, -1), (7, 0.5, 1), (2, 0.25, 2))
+
+
+def _separations(r):
+    """x = y, |y - x| inside B_r (below it and on it), and outside it."""
+    return (None, r - 2, r, r + 1, r + 3)
+
+
+@pytest.mark.parametrize("p, sigma, r", BRIDGE_LAWS)
+def test_free_bridge_splits_the_density(p, sigma, r):
+    # with V = 0 the no-jump part and the chain's part add up to rho_t(y - x)
+    params = hk.KernelParams(p, 1.0, sigma)
+    lam = exit_rate(params, r)
+    for e in _separations(r):
+        law = bridge_law(params, 1.0, r, e)
+        chain = law.n_cum[-1] * float(p) ** -r
+        rho = hk.density(params, 1.0, e) if e is not None else hk.density_center(params, 1.0)
+        # the no-jump part, by the closed form of the small jumps' density summed
+        # from its wavelets, e^{-lam t} p^-r plus sum_{l <= r} e^{-t sigma p^{-(l-1)b}} psi_l
+        free = 0.0
+        if e is None or e <= r:
+            a = [math.exp(-sigma * float(p) ** -(l - 1)) for l in range(r - 60, r + 1)]
+            free = math.exp(-lam) * float(p) ** -r + math.fsum(
+                al * ((p - 1.0) * float(p) ** -l if e is None or l > e else -float(p) ** -l
+                      if l == e else 0.0) for l, al in zip(range(r - 60, r + 1), a))
+        assert (free + chain) / rho == pytest.approx(1.0, abs=1e-12), e
+        assert law.share == pytest.approx(free / (free + chain), abs=1e-12)
+
+
+@pytest.mark.parametrize("p, sigma, r", BRIDGE_LAWS)
+def test_n_law_normaliser_is_the_ball_mean(p, sigma, r):
+    # sum_{n >= 1} Pois(n; lam t) h_n(x) = P(X_t in B_r(y)) less the no-jump part
+    params = hk.KernelParams(p, 1.0, sigma)
+    lam = exit_rate(params, r)
+    for e in _separations(r):
+        law = bridge_law(params, 1.0, r, e)
+        stay = math.exp(-lam) if law.start == 0 else 0.0
+        assert law.n_cum[-1] + stay == pytest.approx(
+            _ball_means(params, lam, 1.0, r, r, e)[0], rel=1e-12), e
+
+
+@pytest.mark.parametrize("m, n, c", [(1, 1, 0.3), (3, 5, 1.0), (10, 20, 2.5), (40, 60, 7.0)])
+def test_dirichlet_average_is_kummer(m, n, c):
+    # a 0/1 potential: E e^{-c W}, W ~ Beta(m, n + 1 - m), is 1F1(m; n + 1; -c)
+    from scipy.special import hyp1f1
+
+    assert dirichlet_average(((-c, m), (0.0, n + 1 - m))) == pytest.approx(
+        hyp1f1(m, n + 1, -c), rel=1e-12)
+
+
+def test_dirichlet_average_of_three_values_by_monte_carlo():
+    w = np.random.default_rng(1301).dirichlet(np.ones(9), size=400_000)
+    draws = np.exp(-1.0 * w[:, :3].sum(axis=1) - 0.5 * w[:, 3:7].sum(axis=1))
+    se = np.std(draws, ddof=1) / math.sqrt(len(draws))
+    assert abs(dirichlet_average(((-1.0, 3), (-0.5, 4), (0.0, 2))) - np.mean(draws)) <= 4 * se
+
+    # the terms reach e^800 before the e^-800 in front brings them back
+    from scipy.special import hyp1f1
+
+    assert dirichlet_average(((-800.0, 3), (0.0, 5))) == pytest.approx(hyp1f1(3, 8, -800.0),
+                                                                       rel=1e-12)

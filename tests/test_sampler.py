@@ -28,17 +28,18 @@ from adelic_diffusion import (
     sample_skeleton,
     sup_norm_exceeds,
 )
-from adelic_diffusion.feynman_kac import _bridge_action, _path_action
-from adelic_diffusion.padic import Ball, _normalised
+from adelic_diffusion.feynman_kac import _path_action
+from adelic_diffusion.padic import Ball
 from adelic_diffusion.sampler import (
     _bridge_classes,
-    _bridge_tree,
+    bridge_law,
+    event_bridge,
+    event_bridge_visits,
     event_path_sums,
-    sample_bridges,
     skeleton_stays,
 )
 from adelic_diffusion.schwartz import SBFunction, eval_sb
-from conftest import fine_skeleton_exit_landings, trapezoid_action, tv_distance
+from conftest import fine_skeleton_exit_landings, semigroup_reference
 
 KP = KernelParams(2, 1.0, 1.0)
 ZERO = PAdicScalar.zero(2)
@@ -422,20 +423,6 @@ class TestBridge:
         assert gen.draws == MAX_EQUAL_SPHERE_TRIES
 
 
-def window_point(paths, i, k):
-    """Position of path i at paths.times[k] as a scalar, known to the
-    window's fine end."""
-    p = paths.params.p
-    n = paths.offsets[i, k] % p**paths.width
-    if n == 0:
-        return paths.x + PAdicScalar.zero(p, paths.width - paths.coarse)
-    return paths.x + _normalised(p, -paths.coarse, n, paths.width)
-
-
-def midpoint_class(z, x0, x1):
-    return radial_class(z - x0, -4), radial_class(z - x1, -4)
-
-
 def _pinned_pairs(p):
     """test_09's three endpoint pairs, carried over to the prime p."""
     zero = PAdicScalar.zero(p)
@@ -444,113 +431,78 @@ def _pinned_pairs(p):
             (PAdicScalar.from_int(1, p), PAdicScalar.from_int(1 + p, p))]
 
 
-# (name, p, x, y, tau, potential factor f); pre-registered, seed 12_100 + 10 * index
+# (name, p, x, y, tau, potential factor f); pre-registered, seed 12_100 + 10 * index.
+# wide-window: a ball of radius 5^25 and one of 5^-2 hold window integers of
+# 27 base-5 digits, past int64
 ENGINE_CASES = [
     *((f"test09-p{p}-pair{k}", p, x, y, 0.7, SBFunction.vacuum(p))
       for p in (2, 3) for k, (x, y) in enumerate(_pinned_pairs(p))),
     ("off-centre-ball", 3, PAdicScalar.zero(3), PAdicScalar.from_int(2, 3), 1.0,
      SBFunction.indicator(Ball(PAdicScalar.from_int(1, 3), -1))),
     ("wide-window", 5, PAdicScalar.zero(5), PAdicScalar.from_rational(Fraction(2, 125), 5),
-     1.0, SBFunction.indicator(Ball(PAdicScalar.zero(5), -2))),
+     1.0, SBFunction(5, ((Ball(PAdicScalar.zero(5), -2), 1.0 + 0j),
+                         (Ball(PAdicScalar.zero(5), 25), 0.5 + 0j)))),
 ]
 
 
 class TestBridgeEngine:
-    """The batched engine against the digit-exact oracle sample_bridge, in law."""
+    """The event-chain bridge engine: its mean factor against the semigroup
+    reference, and its jump counts and holding-time averages against forward
+    event paths kept when they end in the target ball."""
 
-    STEPS, N_ENGINE, N_ORACLE, TV_MAX = 32, 8000, 1200, 0.08
+    N_ENGINE, N_FORWARD = 4000, 20_000
 
     @pytest.mark.parametrize("k", range(len(ENGINE_CASES)),
                              ids=[c[0] for c in ENGINE_CASES])
     def test_matches_oracle_in_law(self, k):
+        from adelic_diffusion.feynman_kac import _bridge_column
+        from adelic_diffusion.lumped import dirichlet_average
+
         name, p, x, y, tau, f = ENGINE_CASES[k]
         kp = KernelParams(p, 1.0, 1.0)
-        spec = BridgeSpec(kp, 1.0, x, y)
-        mid = self.STEPS // 2
-        paths = sample_bridges(spec, self.STEPS, self.N_ENGINE, RngStream(12_100 + 10 * k), 24,
-                               cover=tuple(b for b, _ in f.terms))
-        engine_cls = Counter(midpoint_class(window_point(paths, i, mid), x, y)
-                             for i in range(self.N_ENGINE))
-        engine_w = np.exp(-_bridge_action(paths, tau, f))
-        gen = RngStream(12_101 + 10 * k).generator()
-        epochs = [j / self.STEPS for j in range(1, self.STEPS)]
-        oracle_cls, oracle_w = Counter(), []
-        for _ in range(self.N_ORACLE):
-            sk = sample_bridge(spec, epochs, gen, 24)
-            oracle_cls[midpoint_class(sk.values[mid], x, y)] += 1
-            oracle_w.append(math.exp(-trapezoid_action(sk, tau, f)))
-        tv = tv_distance({c: m / self.N_ENGINE for c, m in engine_cls.items()},
-                         {c: m / self.N_ORACLE for c, m in oracle_cls.items()})
-        assert tv < self.TV_MAX, (name, tv)
-        se = math.hypot(np.std(engine_w, ddof=1) / math.sqrt(self.N_ENGINE),
-                        np.std(oracle_w, ddof=1) / math.sqrt(self.N_ORACLE))
-        assert abs(np.mean(engine_w) - np.mean(oracle_w)) <= 3 * se, name
+        bridge = event_bridge(kp, 1.0, x, y, tau, f.terms)
+        r, e = f.min_radius_exp(), (y - x).abs_exp()
+        # leaves finer than |y - x|: the kernel is constant on y's leaf
+        ref = semigroup_reference(kp, 1.0, [x, y, *(b.center for b, _ in f.terms)],
+                                  min(r, e) - 1, tau, f)
+        rho = density(kp, 1.0, e) if e is not None else density_center(kp, 1.0)
+        exact = ref.kernel(x, y) / rho
+        values = _bridge_column(bridge, RngStream(12_100 + 10 * k).generator(), self.N_ENGINE)
+        se = np.std(values, ddof=1) / math.sqrt(self.N_ENGINE)
+        assert abs(np.mean(values) - exact) <= 4 * se, (name, np.mean(values), exact, se)
         if name == "wide-window":
-            assert paths.width * math.log2(p) > 64
-
-    def test_endpoints_pinned_through_widening(self):
-        # no cover and x = y: the window starts empty and every level widens it
-        kp3 = KernelParams(3, 1.0, 1.0)
-        x = PAdicScalar.from_int(5, 3, 24)
-        paths = sample_bridges(BridgeSpec(kp3, 1.0, x, x), 16, 50, RngStream(12_200), 24)
-        assert paths.width >= 24
-        y = PAdicScalar.from_rational(Fraction(7, 9), 3, 24)
-        paths = sample_bridges(BridgeSpec(kp3, 1.0, x, y), 16, 50, RngStream(12_201), 24)
-        for i in range(50):
-            pts = [window_point(paths, i, k) for k in range(17)]
-            assert pts[0] == x + PAdicScalar.zero(3, paths.width - paths.coarse)
-            assert (pts[16] - y).known_mod_exp() >= y.known_mod_exp()
-            assert (pts[16] - y).is_zero()
-            for d in (z - x for z in pts):
-                assert d.is_zero() or d.abs_exp() <= paths.coarse
-            # each jump keeps 24 digits counting its leading one; a midpoint's
-            # jump is as long as its distance to the nearer neighbour
-            for a, m, b in (node for nodes in _bridge_tree(16) for node in nodes):
-                level = min(e for e in ((pts[m] - pts[a]).abs_exp(), (pts[m] - pts[b]).abs_exp())
-                            if e is not None)
-                assert paths.width - paths.coarse + level >= 24
+            assert bridge.width * math.log2(p) > 62
+            return
+        visits = event_bridge_visits(bridge, RngStream(12_100 + 10 * k).generator(), self.N_ENGINE)
+        jumps = visits.sum(axis=1) - 1
+        rows, inverse = np.unique(visits, axis=0, return_inverse=True)
+        averages = np.array([dirichlet_average(tuple(sorted(
+            (zi, int(ki)) for zi, ki in zip(bridge.values, row) if ki))) for row in rows]
+        )[inverse.ravel()]
+        gen = RngStream(12_101 + 10 * k).generator()
+        forward_jumps, forward_w = [], []
+        for _ in range(self.N_FORWARD):
+            path = sample_event_path(kp, x, 1.0, r, gen)
+            end = path.end_position() - y
+            if path.events and (end.is_zero() or end.abs_exp() <= r):
+                forward_jumps.append(len(path.events))
+                forward_w.append(math.exp(-_path_action(path, tau, f, 1.0)))
+        for engine, forward in ((jumps, forward_jumps), (averages, forward_w)):
+            se = math.hypot(np.std(engine, ddof=1) / math.sqrt(len(engine)),
+                            np.std(forward, ddof=1) / math.sqrt(len(forward)))
+            assert abs(np.mean(engine) - np.mean(forward)) <= 4 * se, name
 
     def test_batch_is_deterministic(self):
-        y = PAdicScalar.from_int(5, 2, 24)
-        spec = BridgeSpec(KP, 1.0, ZERO, y)
-        a = sample_bridges(spec, 8, 20, RngStream(12_202).child(1), 24)
-        b = sample_bridges(spec, 8, 20, RngStream(12_202).child(1), 24)
-        assert (a.coarse, a.width) == (b.coarse, b.width)
-        assert (a.offsets == b.offsets).all()
+        bridge = event_bridge(KP, 1.0, ZERO, PAdicScalar.from_int(5, 2, 24), 0.7,
+                              SBFunction.vacuum(2).terms)
+        a = event_bridge_visits(bridge, RngStream(12_202).child(1), 20)
+        b = event_bridge_visits(bridge, RngStream(12_202).child(1), 20)
+        assert (a == b).all()
 
     def test_underflow_error(self):
         far = PAdicScalar(2, -(2**17), 1, 8)
         with pytest.raises(BridgeUnderflowError):
-            sample_bridges(BridgeSpec(KP, 1e-3, ZERO, far), 2, 4, RngStream(12_203), 24)
-
-    def test_equal_sphere_rejection_is_capped(self):
-        from adelic_diffusion.sampler import MAX_EQUAL_SPHERE_TRIES, _EQUAL_SPHERES
-
-        kp3 = KernelParams(3, 1.0, 1.0)
-        x1 = PAdicScalar.from_int(1, 3, 8)
-        labels, cum = _bridge_classes(kp3, 0.5, 0.5, 0)
-        idx = labels.tolist().index([_EQUAL_SPHERES, 0])
-        u = 0.5 * ((cum[idx - 1] if idx else 0.0) + cum[idx]) / cum[-1]
-
-        class StuckGenerator(np.random.Generator):
-            """Picks the equal-sphere class, then the one leading digit that
-            puts z on the sphere |z - x1| < 1, every time."""
-
-            leads = 0
-
-            def random(self, size=None):
-                return np.full(size, u)
-
-            def integers(self, low, high=None, size=None, dtype=np.int64):
-                if low == 1:
-                    self.leads += 1
-                    return np.ones(size, dtype=np.int64)
-                return np.zeros(size, dtype=dtype)
-
-        gen = StuckGenerator(np.random.Philox(0))
-        with pytest.raises(TruncationError, match="equal-sphere"):
-            sample_bridges(BridgeSpec(kp3, 1.0, PAdicScalar.zero(3), x1), 2, 1, gen, 24)
-        assert gen.leads == MAX_EQUAL_SPHERE_TRIES
+            bridge_law(KP, 1e-3, 0, far.abs_exp())
 
 
 class TestOvershootConditioningOracle:
