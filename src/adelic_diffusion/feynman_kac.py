@@ -202,11 +202,7 @@ def free_propagate(sigma: SigmaSequence, b: float, t: float,
     """
     if not t > 0:
         raise ConfigError("t must be positive")
-    needed = max(
-        x.max_active_index(),
-        max((prime_index(p) for p in alpha.factor_primes()), default=0),
-    )
-    if N < needed:
+    if N < _min_truncation(x, None, alpha, SimplePotential.zero()):
         raise ConfigError("truncation must cover active primes and factors")
     value = 1.0 + 0j
     for i in range(1, N + 1):

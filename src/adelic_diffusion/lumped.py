@@ -33,6 +33,7 @@ the chance that the n-th jump ends in B, which conditions kernel mode's bridges.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -113,12 +114,12 @@ def _phi2(y: float) -> float:
 
 
 def return_probabilities(params: KernelParams, lam: float, r: int, classes: int,
-                         n_max: int) -> np.ndarray:
-    """h[n, i] = P(Y_n in B_r(c) | |Y_0 - c| = p^{r+i}) (i = 0: in B_r(c)) for the jump chain
-    Y at p^r: _ball_means's sums with (1 - mu_l/lam)^n for e^{-t mu_l}, to weights 2^-64."""
+                         rows: np.ndarray) -> np.ndarray:
+    """h[., i] = P(Y_n in B_r(c) | |Y_0 - c| = p^{r+i}) (i = 0: in B_r(c)) at each n of rows, for
+    the jump chain Y at p^r: _ball_means's sums with (1 - mu_l/lam)^n for e^{-t mu_l}, to 2^-64."""
     p, levels = params.p, classes + math.ceil(64 / math.log2(params.p))
     a = np.array([wavelet_rate(params, lam, r, r + 1 + j) / lam for j in range(levels)])
-    n, j, i = np.arange(n_max + 1.0)[:, None], np.arange(levels), np.arange(1, classes)
+    n, j, i = np.asarray(rows, dtype=float)[:, None], np.arange(levels), np.arange(1, classes)
     log_e = n * np.log1p(-np.where(a < 1.0, a, 0.0))  # 1 - a < 0 on the first level
     E = np.where(a < 1.0, np.exp(log_e), (1.0 - a) ** n)
     H = np.where(a < 1.0, -np.expm1(log_e), 1.0 - E)
@@ -133,27 +134,27 @@ def return_probabilities(params: KernelParams, lam: float, r: int, classes: int,
 def dirichlet_average(nodes: tuple[tuple[float, int], ...]) -> float:
     """E exp(sum_i z_i W_i) over nodes (z_i, k_i), W_i the sum of k_i parts of a flat
     Dirichlet of n + 1 = sum k_i parts (Hermite-Genocchi; Carlson 1977): e^{z_min}
-    sum_k T_k, T_k = g_k / (n+1)_k, g_k = [u^k] prod_i (1 - c_i u)^{-k_i}, c_i = z_i - z_min,
-    so k g_k = sum_{j<=k} s_j g_{k-j}, s_j = sum_i k_i c_i^j.  0 < T_k <= c^k/k!, c = max
-    c_i, bounds the rest; the terms share a running scale e^scale, so any c works."""
+    sum_k T_k, T_k = [u^k] G / (n+1)_k, G = prod_i (1 - c_i u)^{-k_i}, c_i = z_i - z_min.
+    P G' = R G, P = prod_i (1 - c_i u), R = sum_i k_i c_i prod_{j != i} (1 - c_j u), gives
+    T_k from the last len(R) terms; T_{k+1} <= c T_k / (k + 1), c = max c_i, bounds the
+    rest, and the terms share a running scale e^scale, so any c works."""
     z_min = min(z for z, _ in nodes)
     if all(z == z_min for z, _ in nodes):
         return math.exp(z_min)
-    n1, c = sum(k for _, k in nodes), max(nodes)[0] - z_min
-    ratios = [((z - z_min) / c, k) for z, k in nodes if z > z_min]
-    powers, sums = [float(k) for _, k in ratios], []
-    tails, total, scale = [c / n1], 1.0, 0.0  # c^{k-i} T_i / ((n+1+i) .. (n+k)), i < k
-    for k in range(1, SERIES_MAX_TERMS):
-        powers = [w * ratio for w, (ratio, _) in zip(powers, ratios)]
-        sums.append(math.fsum(powers))  # s_k / c^k
-        term = math.fsum(s * u for s, u in zip(reversed(sums), tails)) / k
-        total += term
+    n1, c, P, R = sum(k for _, k in nodes), max(nodes)[0] - z_min, [1.0], [0.0]
+    for z, k in ((z - z_min, k) for z, k in nodes if z > z_min):
+        R = [x - z * y + k * z * w for x, y, w in zip(R + [0.0], [0.0] + R, P)]
+        P = [x - z * y for x, y in zip(P + [0.0], [0.0] + P)]
+    T, total, scale = [1.0], 1.0, 0.0  # T[l] = T_{k-l}
+    for k in itertools.count():
+        # (k+1) T_{k+1} = sum_l T_{k-l} (R_l - (k-l) P_{l+1}) / ((n+1+k-l) .. (n+1+k))
+        term, f = 0.0, 1.0
+        for l, (u, r_l, p_l) in enumerate(zip(T, R, P[1:])):
+            f /= n1 + k - l
+            term += u * (r_l - (k - l) * p_l) * f
+        term /= k + 1
+        T, total = [term, *T[:len(R) - 1]], total + term
         if term > 1e150:
-            tails, total, term = [u * 1e-150 for u in tails], total * 1e-150, term * 1e-150
-            scale += math.log(1e150)
-        rest = ((k + 1) * math.log(c) - math.lgamma(k + 2) - math.log1p(-c / (k + 2))
-                if k + 2 > c else math.inf)
-        if rest <= math.log(TAIL_TOL * total) + scale:
+            T, total, scale = [u * 1e-150 for u in T], total * 1e-150, scale + math.log(1e150)
+        if k + 2 > c and T[0] * c <= TAIL_TOL * total * (k + 2 - c):
             return math.exp(z_min + scale + math.log(total))
-        tails = [u * c / (n1 + k) for u in tails] + [term * c / (n1 + k)]
-    raise TruncationError(f"Dirichlet average did not converge within {SERIES_MAX_TERMS} terms")

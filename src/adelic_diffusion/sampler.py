@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .padic import (
 )
 from .rng import as_generator
 
-# Largest expected event count rate * T an event path may be asked for.
+# Largest expected event count rate * T an event path or bridge may be asked for.
 MAX_EXPECTED_EVENTS = 10**7
 # Digits drawn beyond an event jump's overshoot level.  No position modulo B_{r_min}
 # reads them: they keep the seeded streams until a deliberate re-baseline.
@@ -149,8 +149,7 @@ def sample_increment(params: KernelParams, dt: float, rng,
     if not dt > 0:
         raise ConfigError("dt must be positive")
     gen = as_generator(rng)
-    law = increment_law(params, dt)
-    m = int(law.sample_exponents(gen, 1)[0])
+    m = int(increment_law(params, dt).sample_exponents(gen, 1)[0])
     return uniform_sphere(gen, params.p, m, precision)
 
 
@@ -160,16 +159,10 @@ def sample_skeleton(params: KernelParams, epochs, start: PAdicScalar, rng,
     epochs = [float(t) for t in epochs]
     if any(t2 <= t1 for t1, t2 in zip(epochs, epochs[1:])) or (epochs and epochs[0] <= 0):
         raise ConfigError("epochs must be strictly increasing and positive")
-    gen = as_generator(rng)
-    times = [0.0]
-    values = [start]
-    prev_t, pos = 0.0, start
-    for t in epochs:
-        pos = pos + sample_increment(params, t - prev_t, gen, precision)
-        times.append(t)
-        values.append(pos)
-        prev_t = t
-    return PathSkeleton(params, tuple(times), tuple(values))
+    gen, values = as_generator(rng), [start]
+    for prev_t, t in zip([0.0, *epochs], epochs):
+        values.append(values[-1] + sample_increment(params, t - prev_t, gen, precision))
+    return PathSkeleton(params, (0.0, *epochs), tuple(values))
 
 
 def skeleton_stays(params: KernelParams, T: float, r: int, steps: int, count: int,
@@ -382,8 +375,7 @@ def sample_bridge(spec: BridgeSpec, epochs, rng,
     if len(set(epochs)) != len(epochs):
         raise ValueError("epochs must be distinct")
     _endpoint_density(spec.params, spec.t, (spec.y - spec.x).abs_exp())
-    params, gen = spec.params, as_generator(rng)
-    filled: dict[float, PAdicScalar] = {}
+    params, gen, filled = spec.params, as_generator(rng), {}
 
     def fill(left_t, left_x, right_t, right_x, eps):
         if not eps:
@@ -396,27 +388,25 @@ def sample_bridge(spec: BridgeSpec, epochs, rng,
         fill(s, z, right_t, right_x, eps[mid + 1 :])
 
     fill(0.0, spec.x, spec.t, spec.y, epochs)
-    times = (0.0, *epochs, spec.t)
-    values = (spec.x, *(filled[s] for s in epochs), spec.y)
-    return PathSkeleton(params, times, values)
+    return PathSkeleton(params, (0.0, *epochs, spec.t), (spec.x, *map(filled.get, epochs), spec.y))
 
 
 # -- event-chain bridges ---------------------------------------------------
 
-MAX_BRIDGE_JUMPS = 10**4  # largest lam t of a bridge: its tables hold ~100 floats a jump
-
-
 @dataclass(frozen=True, eq=False)
 class BridgeLaw:
     """The event chain at p^r from x conditioned to end in B_r(y) at t, over classes
-    i of |Y - y| = p^{r+i} (0: in B_r(y)): n >= 1 jumps from n_cum; with m left, a
-    jump from i lands in j with weight step[i, j] h[m-1, j] (Doob's h-transform), and
-    keeps i with its overshoot from stay_cum[i]; share: rho_t(y - x)'s no-jump part."""
+    i of |Y - y| = p^{r+i} (0: in B_r(y)): n jumps, lo <= n < lo + len(n_cum), from n_cum;
+    with m left, a jump from i lands in j with weight step[i, j] h_{m-1}[j] (Doob's
+    h-transform; h_n = rows([n])[0], h holds n < len(h), a walk takes later n in blocks of
+    len(h)), and keeps i with its overshoot from stay_cum[i]; share: rho_t's no-jump part."""
 
     p: int
     start: int
+    lo: int
     n_cum: np.ndarray
     h: np.ndarray
+    rows: partial  # return_probabilities at the law's chain, of the given n
     step: np.ndarray
     stay_cum: np.ndarray
     share: float
@@ -425,18 +415,19 @@ class BridgeLaw:
 @lru_cache(maxsize=256)
 def bridge_law(params: KernelParams, t: float, r: int, e: int | None) -> BridgeLaw:
     rho = _endpoint_density(params, t, e)
-    lam = exit_rate(params, r)
-    if lam * t > MAX_BRIDGE_JUMPS:
-        raise TruncationError(f"event-chain bridge expects {lam * t:.3g} jumps (limit "
-                              f"{MAX_BRIDGE_JUMPS:.0e}); coarsen the potential or shorten t")
-    p, q, mean = params.p, params.p ** -params.b, lam * t
+    lam = _event_rate(params, r, t)
+    p, q, mean, sd = params.p, params.p ** -params.b, lam * t, math.sqrt(lam * t)
     start = 0 if e is None or e <= r else e - r
     # no path reaching a class this far above the start's comes back but by ~2^-64
     classes = start + 1 + math.ceil(64 * math.log(2) / math.log(p / q))
-    n_max = math.ceil(mean + 12 * math.sqrt(mean) + 40)
-    h = return_probabilities(params, lam, r, classes, n_max)
-    weights = h[1:, start] * np.exp([n * math.log(mean) - mean - math.lgamma(n + 1)
-                                     for n in range(1, n_max + 1)])
+    # Poisson weights are below e^-70 past hi and e^-200 under lo (h_n may be larger
+    # there); h holds hi - lo + 2 rows, so a walk's rows at a step lie in two blocks
+    lo, hi = max(1, math.floor(mean - 20 * sd - 40)), math.ceil(mean + 12 * sd + 40)
+    rows = partial(return_probabilities, params, lam, r, classes)
+    h = rows(np.arange(hi - lo + 2))
+    window = h[lo:, start] if lo == 1 else rows(np.arange(lo, hi + 1))[:, start]
+    weights = window * np.exp([n * math.log(mean) - mean - math.lgamma(n + 1)
+                               for n in range(lo, hi + 1)])
     # no exit from B_r by t: the jumps within B_r decay a wavelet at level l <= r at
     # sigma p^{-(l-1)b} - lam, so rho_t(y-x) - rho_t(p^r) + (e^{-lam t} - e^{-level_r}) p^-r
     level_r = t * params.sigma * _pow(p, -(r - 1) * params.b)
@@ -453,7 +444,7 @@ def bridge_law(params: KernelParams, t: float, r: int, e: int | None) -> BridgeL
                                            float(p) ** (1.0 - i))
     keep = np.where((j > 0) & (j <= i), over[j], 0.0) * np.where(j == i, (p - 2) / (p - 1), 1.0)
     step = np.where(j > i, over[j], np.where(j < i, cancel, keep.sum(axis=1)[:, None]))
-    return BridgeLaw(p, start, _frozen(np.cumsum(weights)), _frozen(h), _frozen(step),
+    return BridgeLaw(p, start, lo, _frozen(np.cumsum(weights)), _frozen(h), rows, _frozen(step),
                      _frozen(np.cumsum(keep, axis=1)), free / total)
 
 
@@ -484,6 +475,9 @@ def event_bridge(params: KernelParams, t: float, x: PAdicScalar, y: PAdicScalar,
     values = tuple(-t * tau * sum(coeff.real for (outer, coeff), (m, key) in zip(terms, rules)
                                   if outer.radius_exp >= ball.radius_exp and inner % m == key)
                    for (ball, _), (_, inner) in zip(terms, rules)) + (0.0,)
+    if not -min(values) <= MAX_EXPECTED_EVENTS:  # about the terms a dirichlet_average takes
+        raise TruncationError(f"bridge action spread t tau sup v = {-min(values):.3g} (limit "
+                              f"{MAX_EXPECTED_EVENTS:.0e}); lower tau or shorten t")
     start = 0 if d.is_zero() else d.significand * p ** (d.valuation + top) % p ** (top - r)
     home = max((col for col, (m, key) in enumerate(rules) if start % m == key), default=-1)
     return EventBridge(law, top - r, start, rules, values, values[home])
@@ -494,13 +488,22 @@ def event_bridge_visits(bridge: EventBridge, rng, count: int) -> np.ndarray:
     ball where it is the finest, then to none.  Paths jump together; W is int64 up
     to p^width = 2^62, Python ints above; a dropped class lands Haar-uniformly."""
     law, width, rules = bridge.law, bridge.width, bridge.rules
-    p, gen = law.p, as_generator(rng)
+    p, gen, size, blocks = law.p, as_generator(rng), len(law.h), {0: law.h}
     dtype = np.int64 if p**width <= 2**62 else object
     pw = np.array([p**k for k in range(width + 1)], dtype=dtype)
-    n = 1 + np.searchsorted(law.n_cum, gen.random(count) * law.n_cum[-1], side="right")
-    n = np.sort(np.minimum(n, len(law.n_cum)))[::-1]
+    n = law.lo + np.searchsorted(law.n_cum, gen.random(count) * law.n_cum[-1], side="right")
+    n = np.sort(np.minimum(n, law.lo + len(law.n_cum) - 1))[::-1]
     cls, W = np.full(count, law.start), np.full(count, bridge.start, dtype=dtype)
     counts = np.zeros((count, len(rules) + 1), dtype=np.int64)
+
+    def rows(m: np.ndarray) -> np.ndarray:  # h_m, m descending, from the blocks the walk is in
+        nonlocal blocks
+        lo, hi = m[-1] // size, m[0] // size
+        blocks = {b: blocks[b] if b in blocks else law.rows(np.arange(b * size, (b + 1) * size))
+                  for b in {0, lo, hi}}
+        return blocks[hi][m - hi * size] if lo == hi else np.where(
+            (m >= hi * size)[:, None], blocks[hi][np.maximum(m - hi * size, 0)],
+            blocks[lo][np.minimum(m - lo * size, size - 1)])
 
     def visit(k: int) -> None:
         region = np.full(k, len(rules))
@@ -512,7 +515,7 @@ def event_bridge_visits(bridge: EventBridge, rng, count: int) -> np.ndarray:
     for s in range(int(n[0]) if count else 0):
         k = int(np.count_nonzero(n > s))
         i, u = cls[:k], gen.random((3, k))
-        cum = np.cumsum(law.step[i] * law.h[n[:k] - s - 1], axis=1)
+        cum = np.cumsum(law.step[i] * rows(n[:k] - s - 1), axis=1)
         j = np.minimum((cum <= u[0, :, None] * cum[:, -1:]).sum(axis=1), len(law.step) - 1)
         stay = law.stay_cum[i]
         kappa = np.where(j == i, (stay <= u[1, :, None] * stay[:, -1:]).sum(axis=1), j)

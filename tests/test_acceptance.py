@@ -229,14 +229,12 @@ SIG_P2 = SigmaSequence(explicit=(1.0,))
 VP2 = SimplePotential.of({2: (0.7, SBFunction.vacuum(2))})
 
 
-def _kernel_pair(x2, y2, seed, n=3000, steps=32):
+def _kernel_pair(x2, y2, seed, n=3000):
     om = SimpleAdelicSB.vacuum()
     x = AdelicPoint.of({2: x2})
     y = AdelicPoint.of({2: y2})
-    fwd = fk_kernel(FKRequest(SIG_P2, 1.0, 1.0, x, om, VP2, n, 1, seed=seed,
-                              y=y, bridge_steps=steps))
-    bwd = fk_kernel(FKRequest(SIG_P2, 1.0, 1.0, y, om, VP2, n, 1, seed=seed + 1,
-                              y=x, bridge_steps=steps))
+    fwd = fk_kernel(FKRequest(SIG_P2, 1.0, 1.0, x, om, VP2, n, 1, seed=seed, y=y))
+    bwd = fk_kernel(FKRequest(SIG_P2, 1.0, 1.0, y, om, VP2, n, 1, seed=seed + 1, y=x))
     return fwd, bwd
 
 

@@ -463,13 +463,13 @@ class TestPinnedKernelAndFoldedValues:
                         chunk_size=300)
         for w in (1, 4):
             assert repr(fk_kernel(replace(req, workers=w))) == (
-                'FKEstimate(value=(0.0322310744772457+0j), std_error=4.326798686135187e-05, '
+                'FKEstimate(value=(0.0322310744772457+0j), std_error=4.326798686135183e-05, '
                 'n_paths=700, tail_certificate=0.9541776794342406, '
                 'density_factor=0.07750939183400865, bridge_factor=0.41583443908669315)')
             assert repr(fk_kernel(replace(req, x=KERNEL_Y, y=KERNEL_X, seed=1902, workers=w))) == (
-                'FKEstimate(value=(0.03218831179459432+0j), std_error=4.193911677099705e-05, '
+                'FKEstimate(value=(0.03218831179459432+0j), std_error=4.193911677099702e-05, '
                 'n_paths=700, tail_certificate=0.9541776794342406, '
-                'density_factor=0.07750939183400865, bridge_factor=0.41528272939526684)')
+                'density_factor=0.07750939183400865, bridge_factor=0.4152827293952668)')
         assert repr(fk_kernel(replace(req, v=V0))) == (
             'FKEstimate(value=(0.07750939183400865+0j), std_error=0.0, n_paths=700, '
             'tail_certificate=0.9541776794342406, density_factor=0.07750939183400865, '
@@ -712,6 +712,20 @@ class TestEventControl:
         assert abs(np.mean(z)) <= 0.25
 
 
+# kernels the event-chain bridge once refused: lam t = 10,923 jumps a path at a
+# ball of radius 2^-14, and t tau (sup v - inf v) = 5,000 at one of radius 2^-3
+HARD_KERNELS = {"radius_2^-14": (-14, 1.0, 64), "tau_5000": (-3, 5000.0, 200)}
+
+
+@lru_cache(maxsize=None)
+def _hard_kernel(case):
+    r, tau, n = HARD_KERNELS[case]
+    pot = SimplePotential.of({2: (tau, SBFunction.indicator(Ball(PAdicScalar.zero(2), r)))})
+    x = AdelicPoint.resolved_zeros(1)
+    sigma = SigmaSequence(explicit=(1.0,))
+    return pot, sigma, fk_kernel(FKRequest(sigma, B, 1.0, x, OM, pot, n, 1, seed=2740, y=x))
+
+
 class TestKernels:
     X = AdelicPoint.resolved_zeros(2)
     Y = AdelicPoint.resolved_zeros(2, p2=PAdicScalar.from_int(1, 2))
@@ -726,10 +740,17 @@ class TestKernels:
         assert est.std_error == 0.0
 
     def test_kernel_bounded_by_density(self):
-        req = FKRequest(SIG, B, 1.0, self.X, OM, VPOT, 1500, 2, seed=711,
-                        y=self.Y, bridge_steps=32)
+        req = FKRequest(SIG, B, 1.0, self.X, OM, VPOT, 1500, 2, seed=711, y=self.Y)
         est = fk_kernel(req)
         assert est.value.real <= est.density_factor + 3 * est.std_error
+
+    @pytest.mark.parametrize("case", list(HARD_KERNELS))
+    def test_many_jumps_and_deep_wells_stay_in_bounds(self, case):
+        pot, _, est = _hard_kernel(case)
+        tau, f = pot.component(2)
+        low = est.density_factor * math.exp(-tau * sum(c.real for _, c in f.terms))
+        assert math.isfinite(est.std_error)
+        assert low <= est.value.real <= est.density_factor
 
     def test_worker_invariance(self, run_chunks_calls):
         pot23 = SimplePotential.of({
@@ -737,7 +758,7 @@ class TestKernels:
             3: (0.5, SBFunction.indicator(Ball(PAdicScalar.zero(3), -1))),
         })
         req = FKRequest(SIG, B, 1.0, self.X, OM, pot23, 600, 2, seed=724, y=self.Y,
-                        bridge_steps=16, chunk_size=200)
+                        chunk_size=200)
         ests = [fk_kernel(replace(req, workers=w)) for w in (1, 4, 8)]
         # one call per worker count, each sampling bridges at both potential slots
         assert [tuple(plan.slot for plan in plans if plan.bridge) for plans in run_chunks_calls] \
@@ -763,7 +784,7 @@ class TestKernels:
         pot = SimplePotential.of({3: (0.5, SBFunction.indicator(
             Ball(PAdicScalar.from_int(1, 3, 24), -5)))})
         x = AdelicPoint.resolved_zeros(2, p3=PAdicScalar.from_digits(3, 0, [1, 2]))
-        req = FKRequest(SIG, B, 1.0, x, OM, pot, 20, 2, seed=725, y=x, bridge_steps=4)
+        req = FKRequest(SIG, B, 1.0, x, OM, pot, 20, 2, seed=725, y=x)
         with pytest.raises(PrecisionError):
             fk_kernel(req)
 
@@ -936,16 +957,33 @@ class TestEventBridgeGates:
             est = fk_kernel(FKRequest(sigma, B, 1.0, a, OM, pot, 4000, n, seed=2700 + k, y=b))
             assert abs(est.value.real - ref) <= 4 * est.std_error, (case, k, est, ref)
 
+    @pytest.mark.parametrize("case", list(HARD_KERNELS))
+    def test_many_jumps_and_deep_wells_within_band_of_reference(self, case):
+        pot, sigma, est = _hard_kernel(case)
+        x = AdelicPoint.resolved_zeros(1)
+        ref = _reference_kernel(sigma, pot, x, x, 1.0, 1)
+        assert abs(est.value.real - ref) <= 4 * est.std_error, (case, est, ref)
+
     def test_every_factor_in_bounds(self):
         from adelic_diffusion.feynman_kac import _bridge_column, _compile_kernel
+        from adelic_diffusion.lumped import dirichlet_average
+        from adelic_diffusion.sampler import event_bridge_visits
 
         req = FKRequest(BENCH_SIG, B, 1.0, BENCH_X, OM, BENCH_POT, 10, 6, seed=2710, y=BENCH_Y)
         for plan in _compile_kernel(req)[1]:
             tau, f = plan.v_term
-            values = _bridge_column(plan.bridge, RngStream(2711).generator(), 4000)
+            bridge, v = plan.bridge, plan.bridge.values
+            # each path's factor before the column holds it in bounds against rounding
+            visits = event_bridge_visits(bridge, RngStream(2711).generator(), 4000)
+            share = bridge.law.share
+            factors = np.array([share * math.exp(bridge.home) + (1 - share) * dirichlet_average(
+                tuple((z, k) for z, k in zip(v, row) if k)) for row in visits.tolist()])
             # the potentials are nested sums at one centre: sup v sums the coefficients
-            assert values.min() >= math.exp(-tau * sum(c.real for _, c in f.terms))
-            assert values.max() <= 1.0
+            low = math.exp(-tau * sum(c.real for _, c in f.terms))
+            assert factors.min() >= low * (1 - 4e-16)
+            assert factors.max() <= 1 + 4e-16
+            held = _bridge_column(bridge, RngStream(2711).generator(), 4000)
+            assert np.array_equal(held, np.clip(factors, math.exp(min(v)), math.exp(max(v))))
 
     def test_alpha_fault_leaves_the_band(self, monkeypatch):
         import adelic_diffusion.heat_kernel as hk

@@ -158,9 +158,11 @@ def test_n_law_normaliser_is_the_ball_mean(p, sigma, r):
             _ball_means(params, lam, 1.0, r, r, e)[0], rel=1e-12), e
 
 
-@pytest.mark.parametrize("m, n, c", [(1, 1, 0.3), (3, 5, 1.0), (10, 20, 2.5), (40, 60, 7.0)])
+@pytest.mark.parametrize("m, n, c", [(1, 1, 0.3), (3, 5, 1.0), (10, 20, 2.5), (40, 60, 7.0),
+                                     (3, 7, 5000.0)])
 def test_dirichlet_average_is_kummer(m, n, c):
-    # a 0/1 potential: E e^{-c W}, W ~ Beta(m, n + 1 - m), is 1F1(m; n + 1; -c)
+    # a 0/1 potential: E e^{-c W}, W ~ Beta(m, n + 1 - m), is 1F1(m; n + 1; -c); at
+    # c = 5000 the series takes about 5,200 terms, more than SERIES_MAX_TERMS
     from scipy.special import hyp1f1
 
     assert dirichlet_average(((-c, m), (0.0, n + 1 - m))) == pytest.approx(
@@ -178,3 +180,20 @@ def test_dirichlet_average_of_three_values_by_monte_carlo():
 
     assert dirichlet_average(((-800.0, 3), (0.0, 5))) == pytest.approx(hyp1f1(3, 8, -800.0),
                                                                        rel=1e-12)
+
+
+def test_bridge_law_past_ten_thousand_jumps():
+    # lam t = 10,923 at a ball of radius 2^-14: the n-law keeps the Poisson window
+    # around lam t (fk_kernel's walk through the rows below it is checked against the
+    # semigroup reference in test_feynman_kac.py).  The Poisson weights are formed from lgamma(n + 1), about 9e4 here, so they hold
+    # about 1e-11, not 1e-12
+    params = hk.KernelParams(2, 1.0, 1.0)
+    r = -14
+    lam = exit_rate(params, r)
+    assert lam > 1e4
+    for e in _separations(r):
+        law = bridge_law(params, 1.0, r, e)
+        assert law.lo > 1
+        stay = math.exp(-lam) if law.start == 0 else 0.0
+        assert law.n_cum[-1] + stay == pytest.approx(
+            _ball_means(params, lam, 1.0, r, r, e)[0], rel=1e-9), e

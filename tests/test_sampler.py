@@ -504,6 +504,18 @@ class TestBridgeEngine:
         with pytest.raises(BridgeUnderflowError):
             bridge_law(KP, 1e-3, 0, far.abs_exp())
 
+    def test_event_limits(self):
+        # the jump count and the action spread t tau sup v, about the terms a
+        # Dirichlet average takes, share the event paths' limit
+        from adelic_diffusion.sampler import MAX_EXPECTED_EVENTS
+
+        assert exit_rate(KP, -30) > MAX_EXPECTED_EVENTS
+        with pytest.raises(TruncationError, match="coarsen r_min"):
+            bridge_law(KP, 1.0, -30, None)
+        for tau in (1e8, math.inf):
+            with pytest.raises(TruncationError, match="action spread"):
+                event_bridge(KP, 1.0, ZERO, ZERO, tau, SBFunction.vacuum(2).terms)
+
 
 class TestOvershootConditioningOracle:
     def test_fine_skeleton_first_exit_landing(self):
